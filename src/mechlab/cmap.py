@@ -19,9 +19,10 @@ import heapq
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .core import BudgetExceededError, Money
+from .wd import EXACT, HEURISTIC, AllocationAlgorithm
 
 CmapType = tuple[tuple[Money, ...], ...]
 CmapOutput = tuple[int, ...]
@@ -146,35 +147,38 @@ class GraphCmap(CmapInstance):
             raise ValueError("source/terminals must be nodes of the graph")
         if not self.edges:
             raise ValueError("graph instance needs at least one edge")
-        if not self._reaches_terminals(self.edges):
+        # edge positions by tail, in input order; kept local because caching it on
+        # the frozen instance slows the attribute-heavy output enumeration
+        by_tail: dict[int, list[int]] = {}
+        for pos, e in enumerate(self.edges):
+            by_tail.setdefault(e.tail, []).append(pos)
+
+        def reaches_terminals(removed: set[int]) -> bool:
+            """Whether every terminal is reachable without the edges at ``removed``."""
+            reached = {self.source}
+            frontier = [self.source]
+            while frontier:
+                for pos in by_tail.get(frontier.pop(), ()):
+                    head = self.edges[pos].head
+                    if pos not in removed and head not in reached:
+                        reached.add(head)
+                        frontier.append(head)
+            return all(t in reached for t in self.terminals)
+
+        if not reaches_terminals(set()):
             raise ValueError("terminals unreachable from the source")
         for agent in range(self.num_agents):
-            rest = tuple(e for e in self.edges if e.owner != agent)
-            if self._reaches_terminals(rest):
+            owned = {pos for pos, e in enumerate(self.edges) if e.owner == agent}
+            if reaches_terminals(owned):
                 continue
-            # only an agent whose edges form a cut pays for the per-edge checks
-            owned = [pos for pos, e in enumerate(self.edges) if e.owner == agent]
-            non_bridges = {pos for pos in owned if self._reaches_terminals(self._without({pos}))}
-            if not self._reaches_terminals(self._without(non_bridges)):
+            # only an agent whose edges form a cut pays for the per-edge checks;
+            # edges go by position, so equal parallel edges stay distinct
+            non_bridges = {pos for pos in owned if reaches_terminals({pos})}
+            if not reaches_terminals(non_bridges):
                 raise ValueError(
                     f"agent {agent} monopolizes a choice: its non-bridge edges "
                     f"{sorted(non_bridges)} cut a terminal off; instance rejected"
                 )
-
-    def _without(self, positions: set[int]) -> tuple[GraphEdge, ...]:
-        """The edges minus those at ``positions`` (equal parallel edges stay distinct)."""
-        return tuple(e for pos, e in enumerate(self.edges) if pos not in positions)
-
-    def _reaches_terminals(self, edges: Sequence[GraphEdge]) -> bool:
-        reached = {self.source}
-        frontier = [self.source]
-        while frontier:
-            node = frontier.pop()
-            for e in edges:
-                if e.tail == node and e.head not in reached:
-                    reached.add(e.head)
-                    frontier.append(e.head)
-        return all(t in reached for t in self.terminals)
 
     @property
     def component_counts(self) -> tuple[int, ...]:
@@ -276,16 +280,8 @@ class GraphCmap(CmapInstance):
         return tuple(sorted(found))
 
 
-@dataclass(frozen=True)
-class CmapAlgorithm:
-    """A named deterministic output rule for cost-minimization instances."""
-
-    name: str
-    kind: str
-    fn: Callable[[CmapInstance, CmapType], CmapOutput]
-
-    def __call__(self, instance: CmapInstance, v: CmapType) -> CmapOutput:
-        return self.fn(instance, v)
+# A cost-minimization rule is called as ``alg(instance, v)`` and returns an output.
+CmapAlgorithm = AllocationAlgorithm
 
 
 def cmap_welfare(instance: CmapInstance, v: CmapType, output: CmapOutput) -> Money:
@@ -349,14 +345,7 @@ def solve_cmap_optimal(instance: CmapInstance, v: CmapType) -> CmapOutput:
         raise BudgetExceededError(
             f"multicast instances beyond {ENUM_EDGE_LIMIT} edges are out of desk scale"
         )
-    best = None
-    best_key = None
-    for output in instance.outputs():
-        key = (-cmap_welfare(instance, v, output), output)
-        if best_key is None or key < best_key:
-            best, best_key = output, key
-    assert best is not None
-    return best
+    return min(instance.outputs(), key=lambda x: (-cmap_welfare(instance, v, x), x))
 
 
 def _first_path_fixed_order(instance: GraphCmap) -> tuple[int, ...]:
@@ -439,11 +428,11 @@ def solve_cmap_heuristic(instance: CmapInstance, v: CmapType) -> CmapOutput:
 
 
 def optimal_cmap_algorithm() -> CmapAlgorithm:
-    return CmapAlgorithm("optimal", "exact", solve_cmap_optimal)
+    return CmapAlgorithm("optimal", EXACT, solve_cmap_optimal)
 
 
 def heuristic_cmap_algorithm() -> CmapAlgorithm:
-    return CmapAlgorithm("heuristic", "heuristic", solve_cmap_heuristic)
+    return CmapAlgorithm("heuristic", HEURISTIC, solve_cmap_heuristic)
 
 
 def make_cmap_algorithm(name: str) -> CmapAlgorithm:

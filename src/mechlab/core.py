@@ -39,15 +39,6 @@ def money_to_decimal(micro: Money) -> str:
     return f"{sign}{whole}.{frac:06d}"
 
 
-def bundle_size(bundle: Bundle) -> int:
-    return bundle.bit_count()
-
-
-def bundle_items(bundle: Bundle) -> tuple[int, ...]:
-    """Items of a bundle in ascending order."""
-    return tuple(j for j in range(bundle.bit_length()) if bundle >> j & 1)
-
-
 def bundle_of(items: Iterable[int]) -> Bundle:
     mask = 0
     for j in items:
@@ -59,15 +50,6 @@ def bundle_of(items: Iterable[int]) -> Bundle:
 
 def full_bundle(num_items: int) -> Bundle:
     return (1 << num_items) - 1
-
-
-def submasks(bundle: Bundle) -> Iterable[Bundle]:
-    """All subsets of ``bundle``, in descending mask order, ending with 0."""
-    sub = bundle
-    while sub:
-        yield sub
-        sub = (sub - 1) & bundle
-    yield 0
 
 
 def _check_universe(num_items: int) -> None:

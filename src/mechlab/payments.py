@@ -26,8 +26,6 @@ from .core import (
 )
 from .wd import AllocationAlgorithm, optimal_algorithm
 
-PIVOT_NAMES = ("zero", "clarke_exact", "clarke_algorithmic")
-
 
 @dataclass(frozen=True)
 class PivotRule:
@@ -86,23 +84,31 @@ class MechanismOutcome:
     utilities: tuple[Money, ...]
 
 
-def _others_value(declared: TypeProfile, alloc: Allocation, agent: int) -> Money:
-    return sum(
-        declared[j].value(alloc.bundles[j])
-        for j in range(declared.num_agents)
-        if j != agent
+def vcg_outcome(
+    alloc: Allocation, declared: TypeProfile, pivot: PivotRule, true_types: TypeProfile
+) -> MechanismOutcome:
+    """VCG accounting at a chosen allocation.
+
+    p_i is the sum of the others' declared values at ``alloc`` plus the pivot
+    term, with pivots evaluated in agent order; utilities are accounted
+    against ``true_types``.
+    """
+    if true_types.num_agents != declared.num_agents:
+        raise ValueError("true-type arity does not match declarations")
+    own = [v.value(b) for v, b in zip(declared.valuations, alloc.bundles)]
+    total = sum(own)
+    payments = tuple(total - own[i] + pivot(i, declared) for i in range(declared.num_agents))
+    utilities = tuple(
+        v.value(b) + p for v, b, p in zip(true_types.valuations, alloc.bundles, payments)
     )
+    return MechanismOutcome(alloc, payments, utilities)
 
 
 def vcg_based_payments(
     alg: AllocationAlgorithm, declared: TypeProfile, pivot: PivotRule
 ) -> tuple[Money, ...]:
     """p_i = sum of the others' declared values at alg(w), plus the pivot term."""
-    alloc = alg(declared)
-    return tuple(
-        _others_value(declared, alloc, i) + pivot(i, declared)
-        for i in range(declared.num_agents)
-    )
+    return vcg_outcome(alg(declared), declared, pivot, declared).payments
 
 
 def affine_based_payments(
@@ -184,18 +190,7 @@ def run_vcg_based(
     true_types: TypeProfile,
 ) -> MechanismOutcome:
     """Run allocation + payments and account utilities against the true types."""
-    if true_types.num_agents != declared.num_agents:
-        raise ValueError("true-type arity does not match declarations")
-    alloc = alg(declared)
-    payments = tuple(
-        _others_value(declared, alloc, i) + pivot(i, declared)
-        for i in range(declared.num_agents)
-    )
-    utilities = tuple(
-        true_types[i].value(alloc.bundles[i]) + payments[i]
-        for i in range(declared.num_agents)
-    )
-    return MechanismOutcome(alloc, payments, utilities)
+    return vcg_outcome(alg(declared), declared, pivot, true_types)
 
 
 @dataclass(frozen=True)

@@ -19,10 +19,11 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 from .core import Allocation, Money, TypeProfile, Valuation, welfare, zero_valuation
-from .payments import MechanismOutcome, PivotRule, clarke_pivot
+from .payments import MechanismOutcome, PivotRule, clarke_pivot, vcg_outcome
 from .wd import AllocationAlgorithm
 
 
@@ -81,6 +82,27 @@ def _shaped_like(result: TypeProfile, template: TypeProfile) -> bool:
     return (
         result.num_agents == template.num_agents
         and result.num_items == template.num_items
+    )
+
+
+def _best_suggestion(
+    suggestions: Iterable[TypeProfile | None],
+    template: TypeProfile,
+    alg: AllocationAlgorithm,
+    belief: TypeProfile,
+    meter: StepMeter,
+) -> TypeProfile | None:
+    """The suggestion whose output scores best under ``belief``; earliest on ties.
+
+    Declines and suggestions shaped unlike ``template`` are skipped; each
+    survivor costs one charged algorithm run and one charged scoring.  The
+    suggestions are drawn lazily, so an appeal producing one is charged right
+    before that suggestion is scored.  None if no suggestion survives.
+    """
+    return max(
+        (s for s in suggestions if s is not None and _shaped_like(s, template)),
+        key=lambda s: charged_welfare(belief, charged_algorithm(alg, s, meter), meter),
+        default=None,
     )
 
 
@@ -169,17 +191,10 @@ class BestOf(Appeal):
     def transform(self, profile: TypeProfile, meter: StepMeter) -> TypeProfile | None:
         if not _shaped_like(self.scored_by, profile):
             return None
-        best = None
-        best_score = None
-        for sub in self.appeals:
-            suggestion = sub.transform(profile, meter)
-            if suggestion is None or not _shaped_like(suggestion, profile):
-                continue
-            alloc = charged_algorithm(self.algorithm, suggestion, meter)
-            score = charged_welfare(self.scored_by, alloc, meter)
-            if best_score is None or score > best_score:
-                best, best_score = suggestion, score
-        return best
+        return _best_suggestion(
+            (sub.transform(profile, meter) for sub in self.appeals),
+            profile, self.algorithm, self.scored_by, meter,
+        )
 
     def step_bound(self, num_agents: int) -> int:
         inner = sum(sub.step_bound(num_agents) for sub in self.appeals)
@@ -259,29 +274,13 @@ def run_second_chance(
     against ``true_types``.
     """
     declared = TypeProfile(tuple(a.declaration for a in actions))
-    if true_types.num_agents != declared.num_agents:
-        raise ValueError("true-type arity does not match actions")
     candidates = [alg(declared)]
     for action in actions:
         suggestion, _ = evaluate_appeal(action.appeal, declared, time_limit)
         if suggestion is not None:
             candidates.append(alg(suggestion))
-    chosen = candidates[0]
-    chosen_welfare = welfare(declared, chosen)
-    for cand in candidates[1:]:
-        w = welfare(declared, cand)
-        if w > chosen_welfare:
-            chosen, chosen_welfare = cand, w
-    payments = tuple(
-        sum(declared[j].value(chosen.bundles[j]) for j in range(declared.num_agents) if j != i)
-        + pivot(i, declared)
-        for i in range(declared.num_agents)
-    )
-    utilities = tuple(
-        true_types[i].value(chosen.bundles[i]) + payments[i]
-        for i in range(declared.num_agents)
-    )
-    return MechanismOutcome(chosen, payments, utilities)
+    chosen = max(candidates, key=lambda a: welfare(declared, a))
+    return vcg_outcome(chosen, declared, pivot, true_types)
 
 
 @dataclass
@@ -376,14 +375,8 @@ def build_feasibly_truthful_appeal(
             return None
         revised = declared.replace(agent, entry.declaration)
         belief = declared.replace(agent, true_valuation)
-        best = revised
-        best_score = charged_welfare(belief, charged_algorithm(alg, revised, meter), meter)
-        suggestion = entry.appeal.transform(revised, meter)
-        if suggestion is not None and _shaped_like(suggestion, declared):
-            score = charged_welfare(belief, charged_algorithm(alg, suggestion, meter), meter)
-            if score > best_score:
-                best = suggestion
-        return best
+        suggestions = chain((revised,), (tau.transform(revised, meter) for tau in (entry.appeal,)))
+        return _best_suggestion(suggestions, declared, alg, belief, meter)
 
     def bound(n: int) -> int:
         tau_bound = max(
@@ -414,16 +407,8 @@ def build_bounded_family_appeal(
 
     def fn(declared: TypeProfile, meter: StepMeter) -> TypeProfile | None:
         belief = declared.replace(agent, true_valuation)
-        best = declared
-        best_score = charged_welfare(belief, charged_algorithm(alg, declared, meter), meter)
-        for tau in family:
-            suggestion = tau.transform(declared, meter)
-            if suggestion is None or not _shaped_like(suggestion, declared):
-                continue
-            score = charged_welfare(belief, charged_algorithm(alg, suggestion, meter), meter)
-            if score > best_score:
-                best, best_score = suggestion, score
-        return best
+        suggestions = chain((declared,), (tau.transform(declared, meter) for tau in family))
+        return _best_suggestion(suggestions, declared, alg, belief, meter)
 
     def bound(n: int) -> int:
         return (len(family) + 1) * algorithm_step_cost(n) + sum(
@@ -487,13 +472,7 @@ def lowest_type_closure(alg: AllocationAlgorithm) -> AllocationAlgorithm:
         candidates = [alg(declared)]
         for i in range(declared.num_agents):
             candidates.append(alg(declared.replace(i, zero_valuation(declared.num_items))))
-        best = candidates[0]
-        best_welfare = welfare(declared, best)
-        for cand in candidates[1:]:
-            w = welfare(declared, cand)
-            if w > best_welfare:
-                best, best_welfare = cand, w
-        return best
+        return max(candidates, key=lambda a: welfare(declared, a))
 
     return AllocationAlgorithm(f"lowest_type_closure({alg.name})", alg.kind, fn)
 

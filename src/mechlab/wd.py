@@ -38,14 +38,18 @@ HEURISTIC = "heuristic"
 
 @dataclass(frozen=True)
 class AllocationAlgorithm:
-    """A named deterministic allocation rule with its claimed optimality class."""
+    """A named deterministic allocation rule with its claimed optimality class.
+
+    Auction rules are called with a profile, cost-minimization rules with an
+    instance and a type; the wrapper passes its arguments through unchanged.
+    """
 
     name: str
     kind: str
-    fn: Callable[[TypeProfile], Allocation]
+    fn: Callable
 
-    def __call__(self, profile: TypeProfile) -> Allocation:
-        return self.fn(profile)
+    def __call__(self, *args):
+        return self.fn(*args)
 
 
 @dataclass(frozen=True)
@@ -176,14 +180,7 @@ def solve_greedy(profile: TypeProfile) -> Allocation:
 
 def solve_in_range(profile: TypeProfile, allocation_range: AllocationRange) -> Allocation:
     """Welfare-argmax over an explicit range; maximal in its range by construction."""
-    best = None
-    best_key = None
-    for alloc in allocation_range.allocations:
-        key = (-welfare(profile, alloc), alloc.bundles)
-        if best_key is None or key < best_key:
-            best, best_key = alloc, key
-    assert best is not None
-    return best
+    return min(allocation_range.allocations, key=lambda a: (-welfare(profile, a), a.bundles))
 
 
 def iter_allocations(num_agents: int, num_items: int) -> Iterable[Allocation]:
@@ -216,14 +213,9 @@ def solve_optimal_weighted(
     if (n + 1) ** m > budget:
         raise BudgetExceededError(f"weighted winner determination needs "
                                   f"{(n + 1) ** m} allocations, budget is {budget}")
-    best = None
-    best_key = None
-    for alloc in iter_allocations(n, m):
-        key = (-weighted_welfare(weights, profile, alloc), alloc.bundles)
-        if best_key is None or key < best_key:
-            best, best_key = alloc, key
-    assert best is not None
-    return best
+    return min(
+        iter_allocations(n, m), key=lambda a: (-weighted_welfare(weights, profile, a), a.bundles)
+    )
 
 
 def affine_optimal_algorithm(

@@ -28,6 +28,7 @@ from mechlab.second_chance import (
     build_bounded_family_appeal,
     build_feasibly_truthful_appeal,
     check_feasibly_dominant,
+    check_step_limited,
     evaluate_appeal,
     lowest_type_closure,
     run_second_chance,
@@ -117,6 +118,16 @@ def test_best_of_scores_candidates_with_the_algorithm():
     assert steps == 2 * algorithm_step_cost(3)
 
 
+def test_best_of_keeps_the_first_of_equal_scores():
+    belief = single_item_profile(5, 5)
+    first = ReplaceProfile(single_item_profile(6, 5))   # item to agent 0, scores 5
+    second = ReplaceProfile(single_item_profile(5, 6))  # item to agent 1, scores 5
+    for appeals in ((first, second), (second, first)):
+        best_of = BestOf(appeals=appeals, scored_by=belief, algorithm=optimal_algorithm())
+        result, _ = evaluate_appeal(best_of, belief, 100)
+        assert result == appeals[0].profile
+
+
 def test_composed_exceptions_degrade_to_decline():
     def boom(profile, meter):
         raise RuntimeError("host bug")
@@ -151,6 +162,17 @@ def test_appeal_can_rescue_a_bad_algorithm():
     base = alg(VICKREY_PROFILE)
     assert base.bundles == (0, 1, 0)
     assert welfare(VICKREY_PROFILE, outcome.allocation) == 2000 > 1700
+
+
+def test_equal_welfare_appeal_does_not_replace_declared_output():
+    profile = single_item_profile(5, 5)
+    alg = optimal_algorithm()
+    appeal = ReplaceOwn(0, SingleMindedValuation(1, 1, 6))
+    assert alg(appeal.transform(profile, StepMeter(0))).bundles == (1, 0)
+    assert alg(profile).bundles == (0, 1)
+    actions = truthful_actions(profile, [appeal, DECLINE])
+    outcome = run_second_chance(alg, actions, zero_pivot(), 10, profile)
+    assert outcome.allocation.bundles == (0, 1)
 
 
 def test_exhausted_appeal_is_treated_as_decline():
@@ -323,6 +345,29 @@ def test_built_appeal_step_cost_bound():
             assert consumed <= appeal.step_bound(n)
 
 
+def test_check_step_limited_bounds_family_size_and_each_appeal():
+    alg = greedy_algorithm()
+    costly = BestOf(
+        appeals=(ReplaceOwn(0, SingleMindedValuation(1, 1, 1500)),),
+        scored_by=VICKREY_PROFILE,
+        algorithm=alg,
+    )
+    other = single_item_profile(1900, 1650, 1000)
+    revision = RevisionFunction((
+        (opponents_key(VICKREY_PROFILE, 0),
+         Action(SingleMindedValuation(1, 1, 1500), ReplaceProfile(VICKREY_PROFILE))),
+        (opponents_key(single_item_profile(2000, 1600, 900), 0),
+         Action(SingleMindedValuation(1, 1, 1800), costly)),
+        (opponents_key(other, 0), Action(other[0], DECLINE)),
+    ))
+    assert len(revision.appeal_family()) == 2
+    bound = costly.step_bound(3)
+    assert bound == algorithm_step_cost(3)
+    assert check_step_limited(revision, bound, 2, 3)
+    assert not check_step_limited(revision, bound, 1, 3)
+    assert not check_step_limited(revision, bound - 1, 2, 3)
+
+
 # ------------------------------------------------- bounded-family appeals
 
 
@@ -482,6 +527,15 @@ def test_lowest_type_closure_keeps_exact_solver_exact():
     for _ in range(40):
         profile = random_profile(rng, rng.randint(1, 3), rng.randint(1, 3))
         assert closed(profile) == base(profile)
+
+
+def test_lowest_type_closure_ties_keep_the_base_output():
+    profile = single_item_profile(5, 5, 5)
+    base = optimal_algorithm()
+    lowered = profile.replace(2, zero_valuation(1))
+    assert base(lowered) != base(profile)
+    assert welfare(profile, base(lowered)) == welfare(profile, base(profile))
+    assert lowest_type_closure(base)(profile) == base(profile)
 
 
 def test_lowest_type_closure_dominates_zeroed_runs():

@@ -15,6 +15,7 @@ from mechlab.core import (
     TypeProfile,
     empty_allocation,
     profile_of,
+    unit_weights,
     units,
     welfare,
 )
@@ -31,6 +32,7 @@ from mechlab.wd import (
     solve_greedy,
     solve_in_range,
     solve_optimal,
+    solve_optimal_weighted,
     solve_single_winner,
     verify_maximal_in_range,
 )
@@ -173,6 +175,21 @@ def test_in_range_two_candidates():
 def test_in_range_singleton_range():
     fixed = Allocation((A, B))
     assert solve_in_range(table_additive_profile(), AllocationRange((fixed,))) == fixed
+
+
+def test_in_range_tie_prefers_smaller_encoding_listed_later():
+    profile = table_additive_profile()
+    larger, smaller = Allocation((B, A)), Allocation((A, B))
+    assert welfare(profile, larger) == welfare(profile, smaller)
+    assert solve_in_range(profile, AllocationRange((larger, smaller))) == smaller
+
+
+def test_weighted_optimum_with_unit_weights_matches_enumeration():
+    rng = random.Random(97)
+    for _ in range(40):
+        profile = random_profile(rng, rng.randint(1, 3), rng.randint(1, 3))
+        expected = brute_optimal(profile)
+        assert solve_optimal_weighted(unit_weights(profile.num_agents), profile) == expected
 
 
 def test_verify_maximal_single_winner_clean():
