@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import heapq
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .core import BudgetExceededError, Money
 from .wd import EXACT, HEURISTIC, AllocationAlgorithm
@@ -55,15 +55,6 @@ class CmapInstance(ABC):
     @abstractmethod
     def outputs(self) -> tuple[CmapOutput, ...]:
         """All allowable outputs, deterministically ordered."""
-
-    def split(self, output: CmapOutput) -> tuple[tuple[int, ...], ...]:
-        """Partition a flat output vector into per-agent slices."""
-        parts = []
-        at = 0
-        for count in self.component_counts:
-            parts.append(tuple(output[at:at + count]))
-            at += count
-        return tuple(parts)
 
     def check_type(self, v: CmapType) -> None:
         if len(v) != self.num_agents:
@@ -134,6 +125,11 @@ class GraphCmap(CmapInstance):
     source: int
     terminals: tuple[int, ...]
     structure: str
+    # The edge layout, derived once by __post_init__: per-owner counts, each
+    # edge's flat component index, and edge positions by tail in input order.
+    _counts: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _slots: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _by_tail: dict[int, list[int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.structure not in (MULTICAST, PATH):
@@ -147,28 +143,28 @@ class GraphCmap(CmapInstance):
             raise ValueError("source/terminals must be nodes of the graph")
         if not self.edges:
             raise ValueError("graph instance needs at least one edge")
-        # edge positions by tail, in input order; kept local because caching it on
-        # the frozen instance slows the attribute-heavy output enumeration
+        if any(e.tail not in nodes or e.head not in nodes for e in self.edges):
+            raise ValueError("edge endpoints must be nodes of the graph")
+        by_owner: list[list[int]] = [[] for _ in range(max(e.owner for e in self.edges) + 1)]
         by_tail: dict[int, list[int]] = {}
         for pos, e in enumerate(self.edges):
+            by_owner[e.owner].append(pos)
             by_tail.setdefault(e.tail, []).append(pos)
+        order = [pos for owned in by_owner for pos in owned]
+        # set in one fixed order, so every instance's __dict__ has the same keys
+        object.__setattr__(self, "_counts", tuple(map(len, by_owner)))
+        # sorting positions by their place in ``order`` inverts it: edge -> slot
+        object.__setattr__(self, "_slots", tuple(sorted(range(len(order)), key=order.__getitem__)))
+        object.__setattr__(self, "_by_tail", by_tail)
 
         def reaches_terminals(removed: set[int]) -> bool:
             """Whether every terminal is reachable without the edges at ``removed``."""
-            reached = {self.source}
-            frontier = [self.source]
-            while frontier:
-                for pos in by_tail.get(frontier.pop(), ()):
-                    head = self.edges[pos].head
-                    if pos not in removed and head not in reached:
-                        reached.add(head)
-                        frontier.append(head)
-            return all(t in reached for t in self.terminals)
+            tree = self._hop_tree(removed)
+            return all(t == self.source or t in tree for t in self.terminals)
 
         if not reaches_terminals(set()):
             raise ValueError("terminals unreachable from the source")
-        for agent in range(self.num_agents):
-            owned = {pos for pos, e in enumerate(self.edges) if e.owner == agent}
+        for agent, owned in enumerate(map(set, by_owner)):
             if reaches_terminals(owned):
                 continue
             # only an agent whose edges form a cut pays for the per-edge checks;
@@ -182,30 +178,33 @@ class GraphCmap(CmapInstance):
 
     @property
     def component_counts(self) -> tuple[int, ...]:
-        owners = max(e.owner for e in self.edges) + 1
-        counts = [0] * owners
-        for e in self.edges:
-            counts[e.owner] += 1
-        return tuple(counts)
-
-    def component_index(self, edge_pos: int) -> int:
-        """Flat component index of the edge at input position ``edge_pos``."""
-        counts = self.component_counts
-        owner = self.edges[edge_pos].owner
-        base = sum(counts[:owner])
-        within = sum(1 for e in self.edges[:edge_pos] if e.owner == owner)
-        return base + within
+        return self._counts
 
     def output_from_edges(self, edge_positions: Iterable[int]) -> CmapOutput:
-        bits = [0] * self.total_components
+        bits = [0] * len(self.edges)
         for pos in edge_positions:
-            bits[self.component_index(pos)] = 1
+            bits[self._slots[pos]] = 1
         return tuple(bits)
 
     def edges_from_output(self, output: CmapOutput) -> tuple[int, ...]:
-        return tuple(
-            pos for pos in range(len(self.edges)) if output[self.component_index(pos)]
-        )
+        return tuple(pos for pos, slot in enumerate(self._slots) if output[slot])
+
+    def _hop_tree(self, removed: Collection[int] = ()) -> dict[int, int]:
+        """Fewest-hops BFS tree from the source, avoiding the edges at ``removed``.
+
+        Maps every reached node but the source to the position of its tree
+        edge: the first edge, in input order, out of the earliest-reached
+        node that reaches it.  Cost-blind and deterministic.
+        """
+        parent: dict[int, int] = {}
+        queue = [self.source]
+        for node in queue:  # appended to while iterated, so visited first-in first-out
+            for pos in self._by_tail.get(node, ()):
+                head = self.edges[pos].head
+                if pos not in removed and head != self.source and head not in parent:
+                    parent[head] = pos
+                    queue.append(head)
+        return parent
 
     def seed_type(self) -> CmapType:
         """The instance's declared costs, as a type (values are negated costs)."""
@@ -217,7 +216,10 @@ class GraphCmap(CmapInstance):
     def is_allowable(self, output: CmapOutput) -> bool:
         if len(output) != self.total_components or any(b not in (0, 1) for b in output):
             return False
-        selected = self.edges_from_output(tuple(output))
+        return self._allows(self.edges_from_output(output))
+
+    def _allows(self, selected: tuple[int, ...]) -> bool:
+        """Whether the edges at positions ``selected`` form an allowable output."""
         if self.structure == PATH:
             return self._is_simple_path(selected)
         return self._is_covering_tree(selected)
@@ -274,9 +276,8 @@ class GraphCmap(CmapInstance):
         found = []
         for mask in range(1 << len(self.edges)):
             selected = tuple(pos for pos in range(len(self.edges)) if mask >> pos & 1)
-            output = self.output_from_edges(selected)
-            if self.is_allowable(output):
-                found.append(output)
+            if self._allows(selected):
+                found.append(self.output_from_edges(selected))
         return tuple(sorted(found))
 
 
@@ -309,9 +310,6 @@ def _dijkstra_path(instance: GraphCmap, v: CmapType) -> CmapOutput:
     start = (0, empty, instance.source)
     heap = [start]
     settled: set[int] = set()
-    by_tail: dict[int, list[int]] = {}
-    for pos, e in enumerate(instance.edges):
-        by_tail.setdefault(e.tail, []).append(pos)
     while heap:
         cost, bits, node = heapq.heappop(heap)
         if node in settled:
@@ -319,11 +317,11 @@ def _dijkstra_path(instance: GraphCmap, v: CmapType) -> CmapOutput:
         settled.add(node)
         if node == target:
             return bits
-        for pos in by_tail.get(node, ()):  # input order
+        for pos in instance._by_tail.get(node, ()):  # input order
             e = instance.edges[pos]
             if e.head in settled:
                 continue
-            idx = instance.component_index(pos)
+            idx = instance._slots[pos]
             if bits[idx]:
                 continue
             extended = list(bits)
@@ -336,15 +334,13 @@ def solve_cmap_optimal(instance: CmapInstance, v: CmapType) -> CmapOutput:
     """Welfare-argmax over the allowable outputs; ties lexicographically smallest.
 
     Explicit instances and graphs of at most 12 edges are solved by
-    enumeration; larger path instances fall back to exact label-setting.
+    enumeration; larger path instances fall back to exact label-setting, and
+    larger multicast instances raise ``BudgetExceededError`` from ``outputs``.
     """
     instance.check_type(v)
-    if isinstance(instance, GraphCmap) and len(instance.edges) > ENUM_EDGE_LIMIT:
-        if instance.structure == PATH:
-            return _dijkstra_path(instance, v)
-        raise BudgetExceededError(
-            f"multicast instances beyond {ENUM_EDGE_LIMIT} edges are out of desk scale"
-        )
+    large = isinstance(instance, GraphCmap) and len(instance.edges) > ENUM_EDGE_LIMIT
+    if large and instance.structure == PATH:
+        return _dijkstra_path(instance, v)
     return min(instance.outputs(), key=lambda x: (-cmap_welfare(instance, v, x), x))
 
 
@@ -355,8 +351,9 @@ def _first_path_fixed_order(instance: GraphCmap) -> tuple[int, ...]:
     def dfs(node, visited, taken):
         if node == target:
             return taken
-        for pos, e in enumerate(instance.edges):
-            if e.tail == node and e.head not in visited:
+        for pos in instance._by_tail.get(node, ()):
+            e = instance.edges[pos]
+            if e.head not in visited:
                 found = dfs(e.head, visited | {e.head}, taken + [pos])
                 if found is not None:
                     return found
@@ -368,37 +365,13 @@ def _first_path_fixed_order(instance: GraphCmap) -> tuple[int, ...]:
     return tuple(path)
 
 
-def _hop_shortest_path(instance: GraphCmap, target: int) -> tuple[int, ...]:
-    """Fewest-hops path by BFS, deterministic via edge input order; cost-blind."""
-    parent: dict[int, int] = {}
-    reached = {instance.source}
-    frontier = [instance.source]
-    while frontier:
-        nxt = []
-        for node in frontier:
-            for pos, e in enumerate(instance.edges):
-                if e.tail == node and e.head not in reached:
-                    reached.add(e.head)
-                    parent[e.head] = pos
-                    nxt.append(e.head)
-        frontier = nxt
-    if target not in reached and target != instance.source:
-        raise ValueError(f"terminal {target} unreachable")
-    path = []
-    node = target
-    while node != instance.source:
-        pos = parent[node]
-        path.append(pos)
-        node = instance.edges[pos].tail
-    return tuple(reversed(path))
-
-
 def solve_cmap_heuristic(instance: CmapInstance, v: CmapType) -> CmapOutput:
     """A deterministic, deliberately cost-blind suboptimal rule.
 
     Path instances take the first source-to-target path in fixed edge order.
-    Multicast instances take the union of fewest-hops paths to each terminal,
-    pruned back to a tree (first incoming edge per node, in edge order).
+    Multicast instances take the union of the fewest-hops paths to each
+    terminal.  All of them lie in one BFS tree, so the union is already a
+    source-rooted tree.
     Because the rule never reads the type, escalating off-optimum costs can
     make its output arbitrarily bad while staying allowable.
     """
@@ -408,23 +381,13 @@ def solve_cmap_heuristic(instance: CmapInstance, v: CmapType) -> CmapOutput:
     if instance.structure == PATH:
         return instance.output_from_edges(_first_path_fixed_order(instance))
 
+    parent = instance._hop_tree()
     union: set[int] = set()
-    for t in instance.terminals:
-        if t != instance.source:
-            union.update(_hop_shortest_path(instance, t))
-    # prune the union to an arborescence: first incoming edge per node
-    kept: list[int] = []
-    reached = {instance.source}
-    progress = True
-    while progress:
-        progress = False
-        for pos in sorted(union):
-            e = instance.edges[pos]
-            if e.tail in reached and e.head not in reached:
-                kept.append(pos)
-                reached.add(e.head)
-                progress = True
-    return instance.output_from_edges(kept)
+    for node in instance.terminals:
+        while node != instance.source:
+            union.add(parent[node])
+            node = instance.edges[parent[node]].tail
+    return instance.output_from_edges(union)
 
 
 def optimal_cmap_algorithm() -> CmapAlgorithm:

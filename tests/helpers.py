@@ -95,3 +95,50 @@ def random_profile(rng: random.Random, num_agents, num_items, max_value=9):
     return TypeProfile(
         tuple(random_valuation(rng, num_items, max_value) for _ in range(num_agents))
     )
+
+
+def brute_cmap_outputs(instance):
+    """Every allowable output of a ``GraphCmap``, sorted, found without its walks.
+
+    The flat layout is rebuilt here: an edge's component index is its place
+    among the edges sorted by owner, input order within an owner.  Paths are
+    every simple source-to-target path, found by DFS.  An edge set S is a
+    multicast tree iff |S| = |V_S| - 1, every node of V_S is reachable from
+    the source within S, and V_S holds every terminal, where V_S is the
+    source plus every endpoint of S.
+    """
+    edges = instance.edges
+    order = sorted(range(len(edges)), key=lambda pos: edges[pos].owner)
+
+    def output(edge_set):
+        return tuple(int(order[slot] in edge_set) for slot in range(len(edges)))
+
+    found = set()
+    if instance.structure == "path":
+        target = instance.terminals[0]
+
+        def dfs(node, visited, taken):
+            if node == target:
+                found.add(output(taken))
+                return
+            for pos, e in enumerate(edges):
+                if e.tail == node and e.head not in visited:
+                    dfs(e.head, visited | {e.head}, taken | {pos})
+
+        dfs(instance.source, {instance.source}, frozenset())
+        return tuple(sorted(found))
+    for size in range(len(edges) + 1):
+        for subset in itertools.combinations(range(len(edges)), size):
+            nodes = {instance.source}.union(*({edges[p].tail, edges[p].head} for p in subset))
+            reached = {instance.source}
+            grew = True
+            while grew:
+                grew = False
+                for p in subset:
+                    if edges[p].tail in reached and edges[p].head not in reached:
+                        reached.add(edges[p].head)
+                        grew = True
+            if (len(subset) == len(nodes) - 1 and reached == nodes
+                    and set(instance.terminals) <= nodes):
+                found.add(output(set(subset)))
+    return tuple(sorted(found))

@@ -1,9 +1,12 @@
 """Tests for cost-minimization allocation problems and degeneracy escalation."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
+from helpers import brute_cmap_outputs
 from mechlab.cmap import (
     ExplicitCmap,
     GraphCmap,
@@ -353,3 +356,91 @@ def test_make_cmap_algorithm():
     assert make_cmap_algorithm("heuristic").kind == "heuristic"
     with pytest.raises(ValueError):
         make_cmap_algorithm("steiner")
+
+
+@pytest.mark.parametrize("bad_edge", [GraphEdge(1, 7, 0, 1), GraphEdge(-3, 0, 1, 1)])
+def test_edge_endpoints_outside_the_graph_rejected(bad_edge):
+    edges = (GraphEdge(0, 1, 0, 1), GraphEdge(0, 1, 1, 1), bad_edge)
+    with pytest.raises(ValueError, match="endpoints"):
+        GraphCmap(2, edges, 0, (1,), "path")
+
+
+def random_graph_cmap(rng, structure, max_edges, costs):
+    """A random small instance the constructor accepts, self-loops allowed."""
+    while True:
+        nodes = rng.randint(2, 5)
+        edges = tuple(
+            GraphEdge(rng.randrange(nodes), rng.randrange(nodes), owner=rng.randrange(3),
+                      cost=rng.choice(costs))
+            for _ in range(rng.randint(2, max_edges))
+        )
+        if structure == "path":
+            terminals = (rng.randrange(1, nodes),)
+        else:
+            terminals = tuple(rng.sample(range(nodes), rng.randint(1, min(3, nodes))))
+        try:
+            return GraphCmap(nodes, edges, 0, terminals, structure)
+        except ValueError:
+            continue
+
+
+@pytest.mark.parametrize("structure", ["path", "multicast"])
+def test_outputs_match_brute_force_oracle(structure):
+    rng = random.Random(f"cmap-oracle-{structure}")
+    for _ in range(200):
+        inst = random_graph_cmap(rng, structure, max_edges=8, costs=(1,))
+        assert inst.outputs() == brute_cmap_outputs(inst)
+
+
+def test_label_setting_matches_enumeration_with_ties():
+    rng = random.Random("cmap-label-setting")
+    for _ in range(400):
+        inst = random_graph_cmap(rng, "path", max_edges=10, costs=(0, 1, 2))
+        v = inst.seed_type()
+        enumerated = min(inst.outputs(), key=lambda x: (-cmap_welfare(inst, v, x), x))
+        assert _dijkstra_path(inst, v) == enumerated
+
+
+def test_layout_with_interleaved_owners_and_an_edgeless_owner():
+    inst = GraphCmap(
+        num_nodes=3,
+        edges=(
+            GraphEdge(0, 1, owner=2, cost=1),
+            GraphEdge(0, 1, owner=0, cost=2),
+            GraphEdge(1, 2, owner=2, cost=3),
+            GraphEdge(1, 2, owner=0, cost=4),
+        ),
+        source=0,
+        terminals=(2,),
+        structure="path",
+    )
+    assert inst.component_counts == (2, 0, 2)
+    assert inst.seed_type() == ((-2, -4), (), (-1, -3))
+    assert inst.output_from_edges([0, 1]) == (1, 0, 1, 0)
+    for size in range(5):
+        for selected in itertools.combinations(range(4), size):
+            assert inst.edges_from_output(inst.output_from_edges(selected)) == selected
+
+
+def test_heuristic_multicast_shared_prefix_and_source_terminal():
+    inst = GraphCmap(
+        num_nodes=5,
+        edges=(
+            GraphEdge(0, 1, owner=0, cost=1),  # BFS tree edge to 1: the shared prefix
+            GraphEdge(0, 2, owner=1, cost=1),
+            GraphEdge(1, 3, owner=1, cost=1),  # tree edge to 3
+            GraphEdge(1, 4, owner=0, cost=1),  # tree edge to 4
+            GraphEdge(2, 3, owner=0, cost=1),
+            GraphEdge(2, 4, owner=1, cost=1),
+            GraphEdge(0, 1, owner=1, cost=1),
+            GraphEdge(4, 3, owner=0, cost=1),
+        ),
+        source=0,
+        terminals=(3, 0, 4),
+        structure="multicast",
+    )
+    x = solve_cmap_heuristic(inst, inst.seed_type())
+    assert inst.edges_from_output(x) == (0, 2, 3)
+    assert x == (1, 1, 0, 0, 0, 1, 0, 0)
+    assert inst.is_allowable(x)
+    assert x in inst.outputs()
