@@ -158,9 +158,7 @@ class GraphCmap(CmapInstance):
         object.__setattr__(self, "_by_tail", by_tail)
 
         def reaches_terminals(removed: set[int]) -> bool:
-            """Whether every terminal is reachable without the edges at ``removed``."""
-            tree = self._hop_tree(removed)
-            return all(t == self.source or t in tree for t in self.terminals)
+            return self._covers(self._hop_tree(removed))
 
         if not reaches_terminals(set()):
             raise ValueError("terminals unreachable from the source")
@@ -218,55 +216,35 @@ class GraphCmap(CmapInstance):
             return False
         return self._allows(self.edges_from_output(output))
 
+    def _covers(self, tree: dict[int, int]) -> bool:
+        """Whether ``tree``, as built by ``_hop_tree``, reaches every terminal."""
+        return all(t == self.source or t in tree for t in self.terminals)
+
+    def _branches(self, tree: dict[int, int]) -> set[int]:
+        """Edge positions on ``tree``'s paths from the source to the terminals it covers."""
+        union: set[int] = set()
+        for node in self.terminals:
+            while node != self.source:
+                union.add(tree[node])
+                node = self.edges[tree[node]].tail
+        return union
+
     def _allows(self, selected: tuple[int, ...]) -> bool:
-        """Whether the edges at positions ``selected`` form an allowable output."""
-        if self.structure == PATH:
-            return self._is_simple_path(selected)
-        return self._is_covering_tree(selected)
+        """Whether the edges at positions ``selected`` form an allowable output.
 
-    def _is_simple_path(self, selected: tuple[int, ...]) -> bool:
-        target = self.terminals[0]
-        if not selected:
-            return self.source == target
-        remaining = set(selected)
-        node = self.source
-        visited = {node}
-        while remaining:
-            steps = [pos for pos in remaining if self.edges[pos].tail == node]
-            if len(steps) != 1:
-                return False
-            pos = steps[0]
-            node = self.edges[pos].head
-            if node in visited:
-                return False
-            visited.add(node)
-            remaining.remove(pos)
-        return node == target
-
-    def _is_covering_tree(self, selected: tuple[int, ...]) -> bool:
-        indegree: dict[int, int] = {}
-        for pos in selected:
-            head = self.edges[pos].head
-            indegree[head] = indegree.get(head, 0) + 1
-            if indegree[head] > 1:
-                return False
-        if indegree.get(self.source, 0) > 0:
+        The set is a source-rooted tree exactly when a BFS over it alone reaches
+        every edge.  A covering such tree is a multicast output; it is the
+        simple path to the target exactly when the target's branch is all of it.
+        """
+        # an edge into the source or a second edge into a node would stay out
+        # of the BFS tree anyway; checking heads first skips most BFS runs
+        heads = {self.edges[pos].head for pos in selected}
+        if self.source in heads or len(heads) < len(selected):
             return False
-        # grow from the source; every selected edge must hang off the root
-        reached = {self.source}
-        pending = set(selected)
-        progress = True
-        while progress:
-            progress = False
-            for pos in sorted(pending):
-                if self.edges[pos].tail in reached:
-                    reached.add(self.edges[pos].head)
-                    pending.remove(pos)
-                    progress = True
-                    break
-        if pending:
+        tree = self._hop_tree(set(range(len(self.edges))).difference(selected))
+        if len(tree) != len(selected) or not self._covers(tree):
             return False
-        return all(t == self.source or indegree.get(t, 0) == 1 for t in self.terminals)
+        return self.structure == MULTICAST or len(self._branches(tree)) == len(selected)
 
     def outputs(self) -> tuple[CmapOutput, ...]:
         if len(self.edges) > ENUM_EDGE_LIMIT:
@@ -322,8 +300,6 @@ def _dijkstra_path(instance: GraphCmap, v: CmapType) -> CmapOutput:
             if e.head in settled:
                 continue
             idx = instance._slots[pos]
-            if bits[idx]:
-                continue
             extended = list(bits)
             extended[idx] = 1
             heapq.heappush(heap, (cost - flat[idx], tuple(extended), e.head))
@@ -380,14 +356,7 @@ def solve_cmap_heuristic(instance: CmapInstance, v: CmapType) -> CmapOutput:
     instance.check_type(v)
     if instance.structure == PATH:
         return instance.output_from_edges(_first_path_fixed_order(instance))
-
-    parent = instance._hop_tree()
-    union: set[int] = set()
-    for node in instance.terminals:
-        while node != instance.source:
-            union.add(parent[node])
-            node = instance.edges[parent[node]].tail
-    return instance.output_from_edges(union)
+    return instance.output_from_edges(instance._branches(instance._hop_tree()))
 
 
 def optimal_cmap_algorithm() -> CmapAlgorithm:

@@ -306,6 +306,8 @@ class TypeProfile:
 
     def replace(self, agent: int, valuation: Valuation) -> "TypeProfile":
         """New profile with ``agent``'s valuation swapped out."""
+        if agent not in range(self.num_agents):
+            raise IndexError(f"agent {agent} is not in a profile of {self.num_agents} agents")
         if valuation.num_items != self.num_items:
             raise ValueError("replacement valuation has a different item universe")
         vals = list(self.valuations)

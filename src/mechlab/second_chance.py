@@ -78,9 +78,10 @@ class Appeal(ABC):
         """Static worst-case step cost on any profile with ``num_agents`` agents."""
 
 
-def _shaped_like(result: TypeProfile, template: TypeProfile) -> bool:
+def _shaped_like(result: object, template: TypeProfile) -> bool:
     return (
-        result.num_agents == template.num_agents
+        isinstance(result, TypeProfile)
+        and result.num_agents == template.num_agents
         and result.num_items == template.num_items
     )
 

@@ -8,6 +8,7 @@ import pytest
 
 from helpers import brute_cmap_outputs
 from mechlab.cmap import (
+    ENUM_EDGE_LIMIT,
     ExplicitCmap,
     GraphCmap,
     GraphEdge,
@@ -365,14 +366,14 @@ def test_edge_endpoints_outside_the_graph_rejected(bad_edge):
         GraphCmap(2, edges, 0, (1,), "path")
 
 
-def random_graph_cmap(rng, structure, max_edges, costs):
+def random_graph_cmap(rng, structure, max_edges, costs, min_edges=2):
     """A random small instance the constructor accepts, self-loops allowed."""
     while True:
         nodes = rng.randint(2, 5)
         edges = tuple(
             GraphEdge(rng.randrange(nodes), rng.randrange(nodes), owner=rng.randrange(3),
                       cost=rng.choice(costs))
-            for _ in range(rng.randint(2, max_edges))
+            for _ in range(rng.randint(min_edges, max_edges))
         )
         if structure == "path":
             terminals = (rng.randrange(1, nodes),)
@@ -392,10 +393,17 @@ def test_outputs_match_brute_force_oracle(structure):
         assert inst.outputs() == brute_cmap_outputs(inst)
 
 
-def test_label_setting_matches_enumeration_with_ties():
-    rng = random.Random("cmap-label-setting")
-    for _ in range(400):
-        inst = random_graph_cmap(rng, "path", max_edges=10, costs=(0, 1, 2))
+@pytest.mark.parametrize(
+    ("seed", "min_edges", "max_edges", "graphs"),
+    [
+        pytest.param("cmap-label-setting", 2, 10, 400, id="2-10-edges"),
+        pytest.param("cmap-label-setting-11", 11, ENUM_EDGE_LIMIT, 100, id="11-12-edges"),
+    ],
+)
+def test_label_setting_matches_enumeration_with_ties(seed, min_edges, max_edges, graphs):
+    rng = random.Random(seed)
+    for _ in range(graphs):
+        inst = random_graph_cmap(rng, "path", max_edges, (0, 1, 2), min_edges)
         v = inst.seed_type()
         enumerated = min(inst.outputs(), key=lambda x: (-cmap_welfare(inst, v, x), x))
         assert _dijkstra_path(inst, v) == enumerated

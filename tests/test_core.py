@@ -261,6 +261,14 @@ def test_allocation_rejects_overlap():
         Allocation((A, A))
 
 
+def test_profile_replace_rejects_out_of_range_agents():
+    profile = profile_of(AdditiveValuation((1,)), AdditiveValuation((2,)))
+    assert profile.replace(1, zero_valuation(1))[1] == zero_valuation(1)
+    for agent in (-1, -2, 2):
+        with pytest.raises(IndexError):
+            profile.replace(agent, zero_valuation(1))
+
+
 def test_profile_rejects_mixed_universes():
     with pytest.raises(ValueError):
         TypeProfile((AdditiveValuation((1,)), AdditiveValuation((1, 2))))

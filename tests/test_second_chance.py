@@ -136,6 +136,26 @@ def test_composed_exceptions_degrade_to_decline():
     assert result is None
 
 
+@pytest.mark.parametrize(
+    "malformed", [42, tuple(VICKREY_PROFILE.valuations)], ids=["int", "tuple"]
+)
+def test_composed_non_profile_output_degrades_to_decline(malformed):
+    appeal = Composed(lambda profile, meter: malformed, lambda n: 0)
+    assert evaluate_appeal(appeal, VICKREY_PROFILE, 100) == (None, 0)
+
+
+def test_best_of_skips_a_non_profile_suggestion():
+    target = single_item_profile(9, 9, 9)
+    best_of = BestOf(
+        appeals=(Composed(lambda profile, meter: 42, lambda n: 0), ReplaceProfile(target)),
+        scored_by=VICKREY_PROFILE,
+        algorithm=optimal_algorithm(),
+    )
+    result, steps = evaluate_appeal(best_of, VICKREY_PROFILE, 100)
+    assert result == target
+    assert steps == algorithm_step_cost(3)
+
+
 # ---------------------------------------------------------------- mechanism
 
 
