@@ -24,7 +24,7 @@ from .core import (
     welfare,
     zero_valuation,
 )
-from .wd import AllocationAlgorithm, optimal_algorithm
+from .wd import AllocationAlgorithm, excluded_optima
 
 
 @dataclass(frozen=True)
@@ -32,8 +32,8 @@ class PivotRule:
     """Per-agent pivot term h_i, a function of the opponents' declarations only.
 
     Implementations replace agent i's declaration with the lowest (zero)
-    type before touching the profile, so the rule cannot depend on the
-    agent's own report.
+    type, or leave agent i out, before touching the profile, so the rule
+    cannot depend on the agent's own report.
     """
 
     name: str
@@ -52,7 +52,9 @@ def clarke_pivot(alg: AllocationAlgorithm, *, name: str | None = None) -> PivotR
 
     h_i = -g((0_i, w_-i), alg((0_i, w_-i))).  With the exact solver this is
     the classic Clarke pivot; with the mechanism's own suboptimal algorithm
-    it is the variant that keeps participation individually rational.
+    it is the variant that keeps participation individually rational.  Each
+    call runs ``alg`` once; ``make_pivot("clarke_exact")`` computes the values
+    of ``clarke_pivot(optimal_algorithm())`` for all agents at once.
     """
 
     def fn(agent: int, declared: TypeProfile) -> Money:
@@ -62,12 +64,32 @@ def clarke_pivot(alg: AllocationAlgorithm, *, name: str | None = None) -> PivotR
     return PivotRule(name or f"clarke({alg.name})", fn)
 
 
+def _clarke_exact_pivot() -> PivotRule:
+    memo = (None, ())  # (last profile, its excluded optima)
+
+    def fn(agent: int, declared: TypeProfile) -> Money:
+        nonlocal memo
+        if agent not in range(declared.num_agents):
+            raise IndexError(f"agent {agent} is not in a profile of {declared.num_agents} agents")
+        last, optima = memo  # one read, so a concurrent caller cannot mix two entries
+        if last is not declared:
+            optima = excluded_optima(declared)
+            memo = (declared, optima)
+        return -optima[agent]
+
+    return PivotRule("clarke_exact", fn)
+
+
 def make_pivot(name: str, alg: AllocationAlgorithm | None = None) -> PivotRule:
-    """Resolve a pivot rule by its public name."""
+    """Resolve a pivot rule by its public name.
+
+    ``clarke_exact`` computes every agent's pivot at once, with
+    :func:`mechlab.wd.excluded_optima`, and keeps them for the last profile.
+    """
     if name == "zero":
         return zero_pivot()
     if name == "clarke_exact":
-        return clarke_pivot(optimal_algorithm(), name="clarke_exact")
+        return _clarke_exact_pivot()
     if name == "clarke_algorithmic":
         if alg is None:
             raise ValueError("clarke_algorithmic needs the mechanism's allocation algorithm")

@@ -9,11 +9,13 @@ rest of the package replays allocations and compares them bit-exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
+from operator import add
 from typing import Callable, Iterable, Sequence
 
 from .core import (
+    MAX_ITEMS,
     AffineWeights,
     Allocation,
     BudgetExceededError,
@@ -30,6 +32,10 @@ from .core import (
 
 # n * 2**m cap for the exact solver; allows m = 12 with up to 16 agents.
 DEFAULT_WD_BUDGET = 16 * 4096
+
+# Every bundle size divides this, so val**2 * (_DENSITY_SCALE // size) orders
+# bids exactly as the rational val**2 / size does, ties included.
+_DENSITY_SCALE = math.lcm(*range(1, MAX_ITEMS + 1))
 
 EXACT = "exact"
 MAXIMAL_IN_RANGE = "maximal-in-range"
@@ -90,6 +96,30 @@ class ReasonablenessWitness:
     allocation: Allocation
 
 
+def _check_budget(n: int, m: int, budget: int) -> None:
+    if n * (1 << m) > budget:
+        raise BudgetExceededError(f"winner determination size {n}*2^{m} exceeds budget {budget}")
+
+
+def _suffix_rows(tables: Sequence[Sequence[Money]], size: int) -> list[list[Money]]:
+    """rows[k][mask]: max welfare achievable by agents k.. of ``tables`` using items in mask."""
+    rows = [[0] * size for _ in range(len(tables) + 1)]
+    for k in reversed(range(len(tables))):
+        tk = tables[k]
+        nxt = rows[k + 1]
+        row = rows[k]
+        for mask in range(size):
+            top = tk[0] + nxt[mask]
+            sub = mask
+            while sub:
+                cand = tk[sub] + nxt[mask ^ sub]
+                if cand > top:
+                    top = cand
+                sub = (sub - 1) & mask
+            row[mask] = top
+    return rows
+
+
 def solve_optimal(profile: TypeProfile, *, budget: int = DEFAULT_WD_BUDGET) -> Allocation:
     """Exact welfare-maximizing allocation.
 
@@ -101,26 +131,10 @@ def solve_optimal(profile: TypeProfile, *, budget: int = DEFAULT_WD_BUDGET) -> A
         BudgetExceededError: if n * 2**m exceeds ``budget``.
     """
     n, m = profile.num_agents, profile.num_items
+    _check_budget(n, m, budget)
     size = 1 << m
-    if n * size > budget:
-        raise BudgetExceededError(f"winner determination size {n}*2^{m} exceeds budget {budget}")
     tables = [value_table(v) for v in profile.valuations]
-
-    # best[k][mask]: max welfare achievable by agents k..n-1 using items in mask
-    best = [[0] * size for _ in range(n + 1)]
-    for k in reversed(range(n)):
-        tk = tables[k]
-        nxt = best[k + 1]
-        row = best[k]
-        for mask in range(size):
-            top = tk[0] + nxt[mask]
-            sub = mask
-            while sub:
-                cand = tk[sub] + nxt[mask ^ sub]
-                if cand > top:
-                    top = cand
-                sub = (sub - 1) & mask
-            row[mask] = top
+    best = _suffix_rows(tables, size)
 
     bundles = []
     remaining = size - 1
@@ -132,6 +146,27 @@ def solve_optimal(profile: TypeProfile, *, budget: int = DEFAULT_WD_BUDGET) -> A
                 remaining ^= sub
                 break
     return Allocation(tuple(bundles))
+
+
+def excluded_optima(profile: TypeProfile) -> tuple[Money, ...]:
+    """Optimal welfare without agent i, for every agent i.
+
+    Entry i equals ``solve_optimal``'s welfare on the profile with agent i's
+    declaration zeroed.  A suffix DP (agents i+1..) and a prefix DP (agents
+    ..i-1, a suffix DP over the reversed tables) serve every agent; entry i is
+    the best split of the items between them, O(2**m) per agent instead of an
+    O(n * 3**m) solve.
+
+    Raises:
+        BudgetExceededError: where ``solve_optimal`` with its default budget does.
+    """
+    n, m = profile.num_agents, profile.num_items
+    _check_budget(n, m, DEFAULT_WD_BUDGET)
+    tables = [value_table(v) for v in profile.valuations]
+    suf = _suffix_rows(tables[1:], 1 << m)  # suf[i]: agents i+1..n-1
+    pre = _suffix_rows(tables[-2::-1], 1 << m)  # pre[n-1-i]: agents 0..i-1
+    # full ^ mask == full - mask, so reversing a row pairs mask with its complement
+    return tuple(max(map(add, pre[n - 1 - i], reversed(suf[i]))) for i in range(n))
 
 
 def solve_single_winner(profile: TypeProfile) -> Allocation:
@@ -148,8 +183,8 @@ def solve_single_winner(profile: TypeProfile) -> Allocation:
 
 def _density_key(entry: tuple[int, Bundle, Money]):
     agent, mask, val = entry
-    # Exact value/sqrt(|bundle|) ordering: compare squared densities as rationals.
-    return (-Fraction(val * val, mask.bit_count()), -val, agent, mask)
+    # Exact value/sqrt(|bundle|) ordering: compare squared densities as integers.
+    return (-(val * val) * (_DENSITY_SCALE // mask.bit_count()), -val, agent, mask)
 
 
 def solve_greedy(profile: TypeProfile) -> Allocation:

@@ -2,20 +2,25 @@
 
 import itertools
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
 from helpers import monotone_tables, random_profile
+from mechlab import wd
 from mechlab.core import (
     AdditiveValuation,
     AffineWeights,
     Allocation,
+    BudgetExceededError,
     SingleMindedValuation,
     TypeProfile,
     full_bundle,
     profile_of,
     unit_weights,
+    zero_valuation,
 )
 from mechlab.payments import (
     VcgMechanism,
@@ -32,6 +37,7 @@ from mechlab.wd import (
     AllocationAlgorithm,
     AllocationRange,
     affine_optimal_algorithm,
+    excluded_optima,
     greedy_algorithm,
     in_range_algorithm,
     optimal_algorithm,
@@ -134,6 +140,108 @@ def test_pivot_never_reads_own_declaration():
             declared = random_profile(rng, 3, 2)
             perturbed = declared.replace(1, random_profile(rng, 1, 2)[0])
             assert pivot(1, declared) == pivot(1, perturbed)
+
+
+def test_clarke_exact_matches_generic_clarke_on_random_profiles():
+    rng = random.Random(6)
+    reference = clarke_pivot(optimal_algorithm())
+    pivot = make_pivot("clarke_exact")
+    for k in range(360):
+        n, m = rng.randint(1, 5), rng.randint(1, 5)
+        if k % 6 == 0:
+            declared = TypeProfile((zero_valuation(m),) * n)
+        elif k % 6 == 1:
+            # Values in {0, 1}: many allocations tie for the optimum.
+            declared = random_profile(rng, n, m, max_value=1)
+        elif k % 6 == 2:
+            # Duplicated declarations: swapping the two agents' bundles ties.
+            base = random_profile(rng, n, m)
+            declared = base.replace(n - 1, base[0])
+        else:
+            declared = random_profile(rng, n, m)
+        expected = [reference(i, declared) for i in range(n)]
+        assert [pivot(i, declared) for i in range(n)] == expected
+        assert excluded_optima(declared) == tuple(-h for h in expected)
+
+
+def test_clarke_exact_memo_tracks_the_profile_object():
+    rng = random.Random(8)
+    reference = clarke_pivot(optimal_algorithm())
+    pivot = make_pivot("clarke_exact")
+    first, second = random_profile(rng, 4, 3), random_profile(rng, 4, 3)
+    for declared in (first, second, first, second):
+        assert [pivot(i, declared) for i in range(4)] == [reference(i, declared) for i in range(4)]
+
+    copy = TypeProfile(tuple(first.valuations))
+    assert copy == first and copy is not first
+    assert [pivot(i, copy) for i in range(4)] == [reference(i, first) for i in range(4)]
+
+    # Only agent 2's declaration differs: its own pivot is unchanged, the
+    # others' pivots follow the new profile rather than the stored one.
+    assert pivot(0, first) == reference(0, first)
+    changed = first.replace(2, SingleMindedValuation(3, 0b111, 50))
+    assert pivot(2, changed) == pivot(2, first) == reference(2, first)
+    others = [reference(i, changed) for i in (0, 1, 3)]
+    assert others != [reference(i, first) for i in (0, 1, 3)]
+    assert [pivot(i, changed) for i in (0, 1, 3)] == others
+
+    for agent in (-1, 4):
+        for rule in (pivot, reference):
+            with pytest.raises(IndexError):
+                rule(agent, first)
+
+
+def test_clarke_exact_shared_across_threads():
+    rng = random.Random(12)
+    reference = clarke_pivot(optimal_algorithm())
+    profiles = [random_profile(rng, 4, 3) for _ in range(2)]
+    expected = [[reference(i, p) for i in range(4)] for p in profiles]
+    assert expected[0] != expected[1]
+    pivot = make_pivot("clarke_exact")
+    wrong = []
+
+    def worker(start):
+        for k in range(300):
+            which = (start + k) % 2
+            got = [pivot(i, profiles[which]) for i in range(4)]
+            if got != expected[which]:
+                wrong.append((which, got))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+
+
+def test_clarke_exact_budget_matches_solve_optimal(monkeypatch):
+    over = TypeProfile((zero_valuation(12),) * 17)
+    with pytest.raises(BudgetExceededError) as by_solver:
+        wd.solve_optimal(over)
+    with pytest.raises(BudgetExceededError) as by_pivot:
+        make_pivot("clarke_exact")(0, over)
+    assert str(by_pivot.value) == str(by_solver.value)
+
+    # The same boundary at m=2, where the DPs are cheap: 16 * 2**2 fits, 17 does not.
+    monkeypatch.setattr(wd, "DEFAULT_WD_BUDGET", 16 * 4)
+    rng = random.Random(10)
+    at = random_profile(rng, 16, 2)
+    reference = clarke_pivot(optimal_algorithm(budget=wd.DEFAULT_WD_BUDGET))
+    pivot = make_pivot("clarke_exact")
+    assert [pivot(i, at) for i in range(16)] == [reference(i, at) for i in range(16)]
+    beyond = random_profile(rng, 17, 2)
+    with pytest.raises(BudgetExceededError) as by_solver:
+        wd.solve_optimal(beyond, budget=wd.DEFAULT_WD_BUDGET)
+    with pytest.raises(BudgetExceededError) as by_pivot:
+        pivot(0, beyond)
+    assert str(by_pivot.value) == str(by_solver.value)
 
 
 def test_affine_unit_weights_reproduce_vcg_exactly():

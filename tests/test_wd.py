@@ -2,11 +2,13 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from helpers import all_allocations, brute_optimal, brute_optimal_welfare, monotone_tables, random_profile
 from mechlab.core import (
+    MAX_ITEMS,
     AdditiveValuation,
     Allocation,
     BudgetExceededError,
@@ -21,6 +23,7 @@ from mechlab.core import (
 )
 from mechlab.wd import (
     AllocationRange,
+    _density_key,
     check_reasonable,
     greedy_algorithm,
     in_range_algorithm,
@@ -145,6 +148,23 @@ def test_greedy_tie_breaks_prefer_value_then_agent():
         SingleMindedValuation(1, 1, 4),
     )
     assert solve_greedy(profile) == Allocation((1, 0))
+
+
+def test_greedy_integer_density_key_orders_like_rationals():
+    def rational_key(entry):
+        agent, mask, val = entry
+        return (-Fraction(val * val, mask.bit_count()), -val, agent, mask)
+
+    # Equal squared densities across bundle sizes: 2**2/1 == 4**2/4 == 6**2/9.
+    ties = [(0, 0b1, 2), (1, 0b1111, 4), (2, 0b111111111, 6), (0, 0b1010, 0), (3, 0b11, 0)]
+    rng = random.Random(31)
+    for _ in range(300):
+        entries = ties + [
+            (rng.randrange(6), rng.randint(1, (1 << rng.randint(1, MAX_ITEMS)) - 1), rng.randint(0, 30))
+            for _ in range(rng.randint(1, 40))
+        ]
+        rng.shuffle(entries)
+        assert sorted(entries, key=_density_key) == sorted(entries, key=rational_key)
 
 
 def test_greedy_never_beats_optimal():
