@@ -19,6 +19,7 @@ import heapq
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Collection, Iterable, Sequence
 
 from .core import BudgetExceededError, Money
@@ -317,28 +318,35 @@ def solve_cmap_optimal(instance: CmapInstance, v: CmapType) -> CmapOutput:
     large = isinstance(instance, GraphCmap) and len(instance.edges) > ENUM_EDGE_LIMIT
     if large and instance.structure == PATH:
         return _dijkstra_path(instance, v)
-    return min(instance.outputs(), key=lambda x: (-cmap_welfare(instance, v, x), x))
+    # outputs() yields allowable outputs only, so each is scored by a dot product
+    flat = [value for vec in v for value in vec]
+    return min(instance.outputs(), key=lambda x: (-sum(map(mul, flat, x)), x))
 
 
 def _first_path_fixed_order(instance: GraphCmap) -> tuple[int, ...]:
-    """First simple source-to-target path found by DFS in edge input order."""
+    """First simple source-to-target path found by DFS in edge input order.
+
+    Iterative, so long paths do not hit the recursion limit.  A node left
+    without reaching the target is never entered again, since it would fail
+    again; the first path is the one backtracking over all simple paths finds.
+    """
     target = instance.terminals[0]
-
-    def dfs(node, visited, taken):
-        if node == target:
-            return taken
-        for pos in instance._by_tail.get(node, ()):
-            e = instance.edges[pos]
-            if e.head not in visited:
-                found = dfs(e.head, visited | {e.head}, taken + [pos])
-                if found is not None:
-                    return found
-        return None
-
-    path = dfs(instance.source, {instance.source}, [])
-    if path is None:
-        raise ValueError("no path from source to target")
-    return tuple(path)
+    node, seen = instance.source, {instance.source}
+    taken: list[int] = []  # edge positions of the current path
+    untried = [iter(instance._by_tail.get(node, ()))]  # out-edges left, per path node
+    while node != target:
+        pos = next((p for p in untried[-1] if instance.edges[p].head not in seen), None)
+        if pos is None:  # every out-edge tried: backtrack
+            if not taken:
+                raise ValueError("no path from source to target")
+            taken.pop()
+            untried.pop()
+            continue
+        taken.append(pos)
+        node = instance.edges[pos].head
+        seen.add(node)
+        untried.append(iter(instance._by_tail.get(node, ())))
+    return tuple(taken)
 
 
 def solve_cmap_heuristic(instance: CmapInstance, v: CmapType) -> CmapOutput:

@@ -64,32 +64,22 @@ def clarke_pivot(alg: AllocationAlgorithm, *, name: str | None = None) -> PivotR
     return PivotRule(name or f"clarke({alg.name})", fn)
 
 
-def _clarke_exact_pivot() -> PivotRule:
-    memo = (None, ())  # (last profile, its excluded optima)
-
-    def fn(agent: int, declared: TypeProfile) -> Money:
-        nonlocal memo
-        if agent not in range(declared.num_agents):
-            raise IndexError(f"agent {agent} is not in a profile of {declared.num_agents} agents")
-        last, optima = memo  # one read, so a concurrent caller cannot mix two entries
-        if last is not declared:
-            optima = excluded_optima(declared)
-            memo = (declared, optima)
-        return -optima[agent]
-
-    return PivotRule("clarke_exact", fn)
+def _clarke_exact(agent: int, declared: TypeProfile) -> Money:
+    if agent not in range(declared.num_agents):
+        raise IndexError(f"agent {agent} is not in a profile of {declared.num_agents} agents")
+    return -excluded_optima(declared)[agent]
 
 
 def make_pivot(name: str, alg: AllocationAlgorithm | None = None) -> PivotRule:
     """Resolve a pivot rule by its public name.
 
     ``clarke_exact`` computes every agent's pivot at once, with
-    :func:`mechlab.wd.excluded_optima`, and keeps them for the last profile.
+    :func:`mechlab.wd.excluded_optima`, which keeps them for the last profile.
     """
     if name == "zero":
         return zero_pivot()
     if name == "clarke_exact":
-        return _clarke_exact_pivot()
+        return PivotRule("clarke_exact", _clarke_exact)
     if name == "clarke_algorithmic":
         if alg is None:
             raise ValueError("clarke_algorithmic needs the mechanism's allocation algorithm")

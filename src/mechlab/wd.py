@@ -9,6 +9,8 @@ rest of the package replays allocations and compares them bit-exactly.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from operator import add
@@ -96,13 +98,19 @@ class ReasonablenessWitness:
     allocation: Allocation
 
 
-def _check_budget(n: int, m: int, budget: int) -> None:
-    if n * (1 << m) > budget:
-        raise BudgetExceededError(f"winner determination size {n}*2^{m} exceeds budget {budget}")
+def _check_budget(n: int, m: int) -> None:
+    if n * (1 << m) > DEFAULT_WD_BUDGET:
+        raise BudgetExceededError(
+            f"winner determination size {n}*2^{m} exceeds budget {DEFAULT_WD_BUDGET}")
 
 
-def _suffix_rows(tables: Sequence[Sequence[Money]], size: int) -> list[list[Money]]:
-    """rows[k][mask]: max welfare achievable by agents k.. of ``tables`` using items in mask."""
+@functools.lru_cache(maxsize=1)
+def _suffix_rows(tables: tuple[tuple[Money, ...], ...], size: int) -> tuple[tuple[Money, ...], ...]:
+    """rows[k][mask]: max welfare achievable by agents k.. of ``tables`` using items in mask.
+
+    Cached for the last tables, which ``solve_optimal`` and ``excluded_optima``
+    both ask for; the rows are tuples, so no caller can change the cached copy.
+    """
     rows = [[0] * size for _ in range(len(tables) + 1)]
     for k in reversed(range(len(tables))):
         tk = tables[k]
@@ -117,33 +125,34 @@ def _suffix_rows(tables: Sequence[Sequence[Money]], size: int) -> list[list[Mone
                     top = cand
                 sub = (sub - 1) & mask
             row[mask] = top
-    return rows
+    return tuple(map(tuple, rows))
 
 
-def solve_optimal(profile: TypeProfile, *, budget: int = DEFAULT_WD_BUDGET) -> Allocation:
+def solve_optimal(profile: TypeProfile) -> Allocation:
     """Exact welfare-maximizing allocation.
 
     Dynamic program over item subsets, agent by agent; O(n * 3**m) time. The
     returned allocation is the lexicographically smallest optimum, so ties on
-    an all-zero profile resolve to the empty allocation.
+    an all-zero profile resolve to the empty allocation.  The DP rows of
+    agents 1.. are the suffix rows ``excluded_optima`` reuses.
 
     Raises:
-        BudgetExceededError: if n * 2**m exceeds ``budget``.
+        BudgetExceededError: if n * 2**m exceeds ``DEFAULT_WD_BUDGET``.
     """
-    n, m = profile.num_agents, profile.num_items
-    _check_budget(n, m, budget)
-    size = 1 << m
-    tables = [value_table(v) for v in profile.valuations]
-    best = _suffix_rows(tables, size)
-
+    _check_budget(profile.num_agents, profile.num_items)
+    size = 1 << profile.num_items
+    tables = tuple(value_table(v) for v in profile.valuations)
+    rest = _suffix_rows(tables[1:], size)  # rest[k]: agents k+1..
+    # full ^ mask == full - mask, so reversing a row pairs mask with its complement
+    target = max(map(add, tables[0], reversed(rest[0])))
     bundles = []
     remaining = size - 1
-    for k in range(n):
-        target = best[k][remaining]
+    for table, after in zip(tables, rest):
         for sub in range(remaining + 1):
-            if sub & remaining == sub and tables[k][sub] + best[k + 1][remaining ^ sub] == target:
+            if sub & remaining == sub and table[sub] + after[remaining ^ sub] == target:
                 bundles.append(sub)
                 remaining ^= sub
+                target -= table[sub]
                 break
     return Allocation(tuple(bundles))
 
@@ -155,17 +164,22 @@ def excluded_optima(profile: TypeProfile) -> tuple[Money, ...]:
     declaration zeroed.  A suffix DP (agents i+1..) and a prefix DP (agents
     ..i-1, a suffix DP over the reversed tables) serve every agent; entry i is
     the best split of the items between them, O(2**m) per agent instead of an
-    O(n * 3**m) solve.
+    O(n * 3**m) solve.  The suffix DP is ``solve_optimal``'s, and the result
+    is cached for the last profile.
 
     Raises:
-        BudgetExceededError: where ``solve_optimal`` with its default budget does.
+        BudgetExceededError: where ``solve_optimal`` does.
     """
-    n, m = profile.num_agents, profile.num_items
-    _check_budget(n, m, DEFAULT_WD_BUDGET)
-    tables = [value_table(v) for v in profile.valuations]
-    suf = _suffix_rows(tables[1:], 1 << m)  # suf[i]: agents i+1..n-1
-    pre = _suffix_rows(tables[-2::-1], 1 << m)  # pre[n-1-i]: agents 0..i-1
-    # full ^ mask == full - mask, so reversing a row pairs mask with its complement
+    _check_budget(profile.num_agents, profile.num_items)
+    return _excluded_optima(profile)
+
+
+@functools.lru_cache(maxsize=1)
+def _excluded_optima(profile: TypeProfile) -> tuple[Money, ...]:
+    n, size = profile.num_agents, 1 << profile.num_items
+    tables = tuple(value_table(v) for v in profile.valuations)
+    suf = _suffix_rows(tables[1:], size)  # suf[i]: agents i+1..n-1
+    pre = _suffix_rows(tables[-2::-1], size)  # pre[n-1-i]: agents 0..i-1
     return tuple(max(map(add, pre[n - 1 - i], reversed(suf[i]))) for i in range(n))
 
 
@@ -218,51 +232,37 @@ def solve_in_range(profile: TypeProfile, allocation_range: AllocationRange) -> A
     return min(allocation_range.allocations, key=lambda a: (-welfare(profile, a), a.bundles))
 
 
-def iter_allocations(num_agents: int, num_items: int) -> Iterable[Allocation]:
-    """All allocations, ascending in the (agent-major, bitmask-minor) encoding."""
-
-    def rec(agent: int, taken: Bundle, bundles: list[Bundle]):
-        if agent == num_agents:
-            yield Allocation(tuple(bundles))
-            return
-        free = full_bundle(num_items) & ~taken
-        for sub in range(1 << num_items):
-            if sub & free != sub:
-                continue
-            bundles.append(sub)
-            yield from rec(agent + 1, taken | sub, bundles)
-            bundles.pop()
-
-    yield from rec(0, 0, [])
-
-
-def solve_optimal_weighted(
-    weights: AffineWeights, profile: TypeProfile, *, budget: int = DEFAULT_WD_BUDGET
-) -> Allocation:
+def solve_optimal_weighted(weights: AffineWeights, profile: TypeProfile) -> Allocation:
     """Weighted-welfare-maximizing allocation by explicit enumeration.
 
-    Enumerates all (n+1)**m allocations, so this is strictly a desk-scale
-    tool; ties break to the lexicographically smallest encoding.
+    Enumerates all (n+1)**m allocations, each item to one agent or to nobody,
+    so this is strictly a desk-scale tool; ties break to the lexicographically
+    smallest encoding.
     """
     n, m = profile.num_agents, profile.num_items
-    if (n + 1) ** m > budget:
+    if (n + 1) ** m > DEFAULT_WD_BUDGET:
         raise BudgetExceededError(f"weighted winner determination needs "
-                                  f"{(n + 1) ** m} allocations, budget is {budget}")
+                                  f"{(n + 1) ** m} allocations, budget is {DEFAULT_WD_BUDGET}")
+
+    def allocation(owners: tuple[int, ...]) -> Allocation:
+        bundles = [0] * (n + 1)  # bundles[n]: the items nobody gets
+        for item, owner in enumerate(owners):
+            bundles[owner] |= 1 << item
+        return Allocation(tuple(bundles[:n]))
+
     return min(
-        iter_allocations(n, m), key=lambda a: (-weighted_welfare(weights, profile, a), a.bundles)
+        map(allocation, itertools.product(range(n + 1), repeat=m)),
+        key=lambda a: (-weighted_welfare(weights, profile, a), a.bundles),
     )
 
 
-def affine_optimal_algorithm(
-    weights: AffineWeights, *, budget: int = DEFAULT_WD_BUDGET
-) -> AllocationAlgorithm:
-    return AllocationAlgorithm(
-        "affine_optimal", EXACT, lambda p: solve_optimal_weighted(weights, p, budget=budget)
-    )
+def affine_optimal_algorithm(weights: AffineWeights) -> AllocationAlgorithm:
+    return AllocationAlgorithm("affine_optimal", EXACT, lambda p: solve_optimal_weighted(weights, p))
 
 
-def optimal_algorithm(*, budget: int = DEFAULT_WD_BUDGET) -> AllocationAlgorithm:
-    return AllocationAlgorithm("optimal", EXACT, lambda p: solve_optimal(p, budget=budget))
+def optimal_algorithm() -> AllocationAlgorithm:
+    # looks ``solve_optimal`` up at call time, so a wrapped module name takes effect
+    return AllocationAlgorithm("optimal", EXACT, lambda p: solve_optimal(p))
 
 
 def single_winner_algorithm() -> AllocationAlgorithm:
@@ -273,17 +273,16 @@ def greedy_algorithm() -> AllocationAlgorithm:
     return AllocationAlgorithm("greedy", HEURISTIC, solve_greedy)
 
 
-def in_range_algorithm(allocation_range: AllocationRange, *, name: str = "in_range") -> AllocationAlgorithm:
+def in_range_algorithm(allocation_range: AllocationRange) -> AllocationAlgorithm:
     return AllocationAlgorithm(
-        name, MAXIMAL_IN_RANGE, lambda p: solve_in_range(p, allocation_range)
+        "in_range", MAXIMAL_IN_RANGE, lambda p: solve_in_range(p, allocation_range)
     )
 
 
-def make_algorithm(name: str, *, allocation_range: AllocationRange | None = None,
-                   budget: int = DEFAULT_WD_BUDGET) -> AllocationAlgorithm:
+def make_algorithm(name: str, *, allocation_range: AllocationRange | None = None) -> AllocationAlgorithm:
     """Resolve an algorithm by its public name."""
     if name == "optimal":
-        return optimal_algorithm(budget=budget)
+        return optimal_algorithm()
     if name == "single_winner":
         return single_winner_algorithm()
     if name == "greedy":

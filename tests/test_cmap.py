@@ -180,6 +180,40 @@ def test_heuristic_trivially_optimal_on_unique_output():
     )
 
 
+def test_heuristic_follows_a_path_longer_than_the_recursion_limit():
+    # Two parallel edges per hop, owned by different agents; the fixed-order
+    # DFS takes the first listed edge of every hop.
+    hops = 1200
+    edges = tuple(GraphEdge(k, k + 1, owner=j, cost=1) for k in range(hops) for j in (0, 1))
+    inst = GraphCmap(hops + 1, edges, 0, (hops,), "path")
+    x = solve_cmap_heuristic(inst, inst.seed_type())
+    assert inst.edges_from_output(x) == tuple(range(0, 2 * hops, 2))
+
+
+def _first_path_recursive(instance):
+    """The fixed-order DFS written recursively, as a reference for small graphs."""
+    target = instance.terminals[0]
+
+    def dfs(node, visited, taken):
+        if node == target:
+            return taken
+        for pos, e in enumerate(instance.edges):
+            if e.tail == node and e.head not in visited:
+                found = dfs(e.head, visited | {e.head}, taken + [pos])
+                if found is not None:
+                    return found
+        return None
+
+    return instance.output_from_edges(dfs(instance.source, {instance.source}, []))
+
+
+def test_heuristic_path_matches_recursive_dfs():
+    rng = random.Random("cmap-first-path")
+    for _ in range(300):
+        inst = random_graph_cmap(rng, "path", max_edges=10, costs=(1,))
+        assert solve_cmap_heuristic(inst, inst.seed_type()) == _first_path_recursive(inst)
+
+
 def test_heuristic_requires_graph_instance():
     inst = ExplicitCmap(counts=(1,), allowable=((0,), (1,)))
     with pytest.raises(ValueError):
@@ -407,6 +441,19 @@ def test_label_setting_matches_enumeration_with_ties(seed, min_edges, max_edges,
         v = inst.seed_type()
         enumerated = min(inst.outputs(), key=lambda x: (-cmap_welfare(inst, v, x), x))
         assert _dijkstra_path(inst, v) == enumerated
+
+
+@pytest.mark.parametrize("structure", ["path", "multicast"])
+def test_optimal_scores_outputs_like_cmap_welfare(structure):
+    rng = random.Random(f"cmap-optimal-scores-{structure}")
+    for _ in range(150):
+        inst = random_graph_cmap(rng, structure, max_edges=8, costs=(1,))
+        v = tuple(tuple(rng.choice((-2, -1, 0, 1)) for _ in range(c)) for c in inst.component_counts)
+        expected = min(inst.outputs(), key=lambda x: (-cmap_welfare(inst, v, x), x))
+        assert solve_cmap_optimal(inst, v) == expected
+    explicit = ExplicitCmap(counts=(2, 1), allowable=((1, 1, 0), (0, 0, 1), (1, 0, 1), (0, 1, 1)))
+    assert solve_cmap_optimal(explicit, ((-1, -2), (-3,))) == (0, 0, 1)  # tie at -3
+    assert solve_cmap_optimal(explicit, ((-1, 0), (-5,))) == (1, 1, 0)
 
 
 def test_layout_with_interleaved_owners_and_an_edgeless_owner():

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import monotone_tables, random_profile
+from helpers import brute_optimal, monotone_tables, random_profile
 from mechlab import wd
 from mechlab.core import (
     AdditiveValuation,
@@ -191,6 +191,43 @@ def test_clarke_exact_memo_tracks_the_profile_object():
                 rule(agent, first)
 
 
+def test_shared_rows_match_references_when_profiles_interleave():
+    # solve_optimal and the exact pivot share cached DP rows; interleaving
+    # profiles, including ones that differ only in agent 0 (equal suffix
+    # rows) and equal but distinct objects, must not change any result.
+    rng = random.Random(14)
+    reference = clarke_pivot(optimal_algorithm())
+    pivot = make_pivot("clarke_exact")
+    alg = optimal_algorithm()
+
+    def pivots(declared):
+        return [pivot(i, declared) for i in range(declared.num_agents)]
+
+    for k in range(90):
+        m = rng.randint(1, 3)
+        first = random_profile(rng, 1 if k % 3 == 0 else rng.randint(2, 4), m,
+                               max_value=rng.choice((1, 9)))
+        if k % 2:
+            second = first.replace(0, random_profile(rng, 1, m)[0])
+        else:
+            second = random_profile(rng, rng.randint(1, 4), m)
+        copy = TypeProfile(tuple(first.valuations))
+        want = {}
+        for declared in (first, second):
+            want[declared] = (brute_optimal(declared),
+                              [reference(i, declared) for i in range(declared.num_agents)])
+        assert alg(first) == want[first][0]
+        assert alg(second) == want[second][0]
+        assert pivots(first) == want[first][1]
+        assert alg(first) == want[first][0]
+        assert pivots(second) == want[second][1]
+        assert alg(copy) == want[first][0] and copy is not first
+        assert pivots(copy) == pivots(first) == want[first][1]
+        outcome = run_vcg_based(alg, second, pivot, second)
+        assert outcome.allocation == want[second][0]
+        assert outcome == run_vcg_based(alg, second, reference, second)
+
+
 def test_clarke_exact_shared_across_threads():
     rng = random.Random(12)
     reference = clarke_pivot(optimal_algorithm())
@@ -233,12 +270,12 @@ def test_clarke_exact_budget_matches_solve_optimal(monkeypatch):
     monkeypatch.setattr(wd, "DEFAULT_WD_BUDGET", 16 * 4)
     rng = random.Random(10)
     at = random_profile(rng, 16, 2)
-    reference = clarke_pivot(optimal_algorithm(budget=wd.DEFAULT_WD_BUDGET))
+    reference = clarke_pivot(optimal_algorithm())
     pivot = make_pivot("clarke_exact")
     assert [pivot(i, at) for i in range(16)] == [reference(i, at) for i in range(16)]
     beyond = random_profile(rng, 17, 2)
     with pytest.raises(BudgetExceededError) as by_solver:
-        wd.solve_optimal(beyond, budget=wd.DEFAULT_WD_BUDGET)
+        wd.solve_optimal(beyond)
     with pytest.raises(BudgetExceededError) as by_pivot:
         pivot(0, beyond)
     assert str(by_pivot.value) == str(by_solver.value)

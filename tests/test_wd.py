@@ -7,9 +7,11 @@ from fractions import Fraction
 import pytest
 
 from helpers import all_allocations, brute_optimal, brute_optimal_welfare, monotone_tables, random_profile
+from mechlab import wd
 from mechlab.core import (
     MAX_ITEMS,
     AdditiveValuation,
+    AffineWeights,
     Allocation,
     BudgetExceededError,
     SingleMindedValuation,
@@ -19,12 +21,14 @@ from mechlab.core import (
     profile_of,
     unit_weights,
     units,
+    weighted_welfare,
     welfare,
 )
 from mechlab.wd import (
     AllocationRange,
     _density_key,
     check_reasonable,
+    excluded_optima,
     greedy_algorithm,
     in_range_algorithm,
     iter_partitions,
@@ -94,11 +98,16 @@ def test_optimal_matches_enumeration_on_random_profiles():
         assert solve_optimal(profile) == brute_optimal(profile)
 
 
-def test_optimal_budget_guard():
+def test_optimal_budget_guard(monkeypatch):
     profile = table_additive_profile()
-    assert solve_optimal(profile, budget=8) == Allocation((0, AB))
-    with pytest.raises(BudgetExceededError):
-        solve_optimal(profile, budget=7)
+    monkeypatch.setattr(wd, "DEFAULT_WD_BUDGET", 8)
+    assert solve_optimal(profile) == Allocation((0, AB))
+    assert excluded_optima(profile) == (4, 3)
+    # The check runs on every call, before a cached result could be returned.
+    monkeypatch.setattr(wd, "DEFAULT_WD_BUDGET", 7)
+    for solver in (solve_optimal, excluded_optima):
+        with pytest.raises(BudgetExceededError, match=r"size 2\*2\^2 exceeds budget 7"):
+            solver(profile)
 
 
 def test_single_winner_basic():
@@ -210,6 +219,30 @@ def test_weighted_optimum_with_unit_weights_matches_enumeration():
         profile = random_profile(rng, rng.randint(1, 3), rng.randint(1, 3))
         expected = brute_optimal(profile)
         assert solve_optimal_weighted(unit_weights(profile.num_agents), profile) == expected
+
+
+def test_weighted_optimum_matches_enumeration_with_weights_and_preference():
+    rng = random.Random(98)
+    for k in range(60):
+        profile = random_profile(rng, rng.randint(1, 3), rng.randint(1, 3), max_value=2)
+        n, m = profile.num_agents, profile.num_items
+        bonus = {a.bundles: rng.choice((0, 0, 1, 2)) for a in all_allocations(n, m)}
+        weights = AffineWeights(
+            tuple(Fraction(rng.randint(1, 3)) for _ in range(n)),
+            (lambda a: bonus[a.bundles]) if k % 2 else None,
+        )
+        expected = min(all_allocations(n, m),
+                       key=lambda a: (-weighted_welfare(weights, profile, a), a.bundles))
+        assert solve_optimal_weighted(weights, profile) == expected
+
+
+def test_weighted_optimum_budget_guard(monkeypatch):
+    profile = table_additive_profile()
+    monkeypatch.setattr(wd, "DEFAULT_WD_BUDGET", 9)  # 3**2 allocations
+    assert solve_optimal_weighted(unit_weights(2), profile) == Allocation((0, AB))
+    monkeypatch.setattr(wd, "DEFAULT_WD_BUDGET", 8)
+    with pytest.raises(BudgetExceededError, match="needs 9 allocations, budget is 8"):
+        solve_optimal_weighted(unit_weights(2), profile)
 
 
 def test_verify_maximal_single_winner_clean():
