@@ -205,6 +205,24 @@ class GraphCmap(CmapInstance):
                     queue.append(head)
         return parent
 
+    def _dfs_tree(self) -> dict[int, int]:
+        """Depth-first tree from the source, out-edges tried in input order.
+
+        Shaped like ``_hop_tree``.  Edge positions are pushed in reverse
+        input order, so they pop in input order, and a node takes the edge it
+        is first popped with: the edge a recursive DFS would enter it by.
+        Iterative, so long paths do not hit the recursion limit.
+        """
+        parent: dict[int, int] = {}
+        stack = self._by_tail.get(self.source, [])[::-1]
+        while stack:
+            pos = stack.pop()
+            head = self.edges[pos].head
+            if head != self.source and head not in parent:
+                parent[head] = pos
+                stack.extend(reversed(self._by_tail.get(head, ())))
+        return parent
+
     def seed_type(self) -> CmapType:
         """The instance's declared costs, as a type (values are negated costs)."""
         per_agent: list[list[Money]] = [[] for _ in range(self.num_agents)]
@@ -278,16 +296,17 @@ def _dijkstra_path(instance: GraphCmap, v: CmapType) -> CmapOutput:
 
     Labels are (accumulated cost, output bit vector); extending a smaller
     label by an edge keeps it smaller, so settling nodes in label order also
-    realizes the lexicographic tie-break on bit vectors.  Requires all
-    component values <= 0 (non-negative costs).
+    realizes the lexicographic tie-break on bit vectors.  The bit vector is
+    carried as an int with slot 0 as its most significant bit, which orders
+    exactly as the tuple does; it becomes a tuple once, at the target.
+    Requires all component values <= 0 (non-negative costs).
     """
     flat = [value for vec in v for value in vec]
     if any(value > 0 for value in flat):
         raise ValueError("label-setting requires non-positive component values")
     target = instance.terminals[0]
-    empty = tuple([0] * instance.total_components)
-    start = (0, empty, instance.source)
-    heap = [start]
+    size = instance.total_components
+    heap = [(0, 0, instance.source)]
     settled: set[int] = set()
     while heap:
         cost, bits, node = heapq.heappop(heap)
@@ -295,15 +314,13 @@ def _dijkstra_path(instance: GraphCmap, v: CmapType) -> CmapOutput:
             continue
         settled.add(node)
         if node == target:
-            return bits
+            return tuple(map(int, format(bits, f"0{size}b")))
         for pos in instance._by_tail.get(node, ()):  # input order
             e = instance.edges[pos]
             if e.head in settled:
                 continue
             idx = instance._slots[pos]
-            extended = list(bits)
-            extended[idx] = 1
-            heapq.heappush(heap, (cost - flat[idx], tuple(extended), e.head))
+            heapq.heappush(heap, (cost - flat[idx], bits | 1 << (size - 1 - idx), e.head))
     raise ValueError("no path from source to target")
 
 
@@ -323,48 +340,22 @@ def solve_cmap_optimal(instance: CmapInstance, v: CmapType) -> CmapOutput:
     return min(instance.outputs(), key=lambda x: (-sum(map(mul, flat, x)), x))
 
 
-def _first_path_fixed_order(instance: GraphCmap) -> tuple[int, ...]:
-    """First simple source-to-target path found by DFS in edge input order.
-
-    Iterative, so long paths do not hit the recursion limit.  A node left
-    without reaching the target is never entered again, since it would fail
-    again; the first path is the one backtracking over all simple paths finds.
-    """
-    target = instance.terminals[0]
-    node, seen = instance.source, {instance.source}
-    taken: list[int] = []  # edge positions of the current path
-    untried = [iter(instance._by_tail.get(node, ()))]  # out-edges left, per path node
-    while node != target:
-        pos = next((p for p in untried[-1] if instance.edges[p].head not in seen), None)
-        if pos is None:  # every out-edge tried: backtrack
-            if not taken:
-                raise ValueError("no path from source to target")
-            taken.pop()
-            untried.pop()
-            continue
-        taken.append(pos)
-        node = instance.edges[pos].head
-        seen.add(node)
-        untried.append(iter(instance._by_tail.get(node, ())))
-    return tuple(taken)
-
-
 def solve_cmap_heuristic(instance: CmapInstance, v: CmapType) -> CmapOutput:
     """A deterministic, deliberately cost-blind suboptimal rule.
 
-    Path instances take the first source-to-target path in fixed edge order.
-    Multicast instances take the union of the fewest-hops paths to each
-    terminal.  All of them lie in one BFS tree, so the union is already a
-    source-rooted tree.
+    The output is the terminals' branches of one search tree from the source,
+    with out-edges tried in input order.  Path instances use the depth-first
+    tree, so the branch is the first source-to-target path a backtracking DFS
+    finds.  Multicast instances use the fewest-hops BFS tree; its branches to
+    the terminals form a source-rooted tree.
     Because the rule never reads the type, escalating off-optimum costs can
     make its output arbitrarily bad while staying allowable.
     """
     if not isinstance(instance, GraphCmap):
         raise ValueError("the heuristic is defined for graph-derived instances only")
     instance.check_type(v)
-    if instance.structure == PATH:
-        return instance.output_from_edges(_first_path_fixed_order(instance))
-    return instance.output_from_edges(instance._branches(instance._hop_tree()))
+    return instance.output_from_edges(instance._branches(
+        instance._dfs_tree() if instance.structure == PATH else instance._hop_tree()))
 
 
 def optimal_cmap_algorithm() -> CmapAlgorithm:
@@ -426,16 +417,13 @@ def escalate_degeneracy(
     Raises:
         ValueError: if the algorithm is already optimal on the seed.
     """
-    instance.check_type(seed)
     optimal_output = solve_cmap_optimal(instance, seed)
     g_opt = cmap_welfare(instance, seed, optimal_output)
-    g_alg = cmap_welfare(instance, seed, alg(instance, seed))
-    if g_alg == g_opt:
+    if cmap_welfare(instance, seed, alg(instance, seed)) == g_opt:
         raise ValueError(
             f"algorithm {alg.name!r} is already optimal on the seed type; nothing to escalate"
         )
-    ratios = []
-    for alpha in alphas:
-        escalated = forcing_type(seed, optimal_output, alpha)
-        ratios.append(degeneracy_ratio(instance, alg, escalated))
-    return tuple(ratios)
+    return tuple(
+        degeneracy_ratio(instance, alg, forcing_type(seed, optimal_output, alpha))
+        for alpha in alphas
+    )

@@ -129,39 +129,6 @@ class TableValuation(Valuation):
 
 
 @dataclass(frozen=True)
-class SingleMindedValuation(Valuation):
-    """Worth ``desired_value`` for any bundle containing ``desired_bundle``, else 0."""
-
-    items: int
-    desired_bundle: Bundle
-    desired_value: Money
-
-    def __post_init__(self) -> None:
-        _check_universe(self.items)
-        if self.desired_bundle < 0 or self.desired_bundle >> self.items:
-            raise ValueError("desired bundle outside universe")
-        if self.desired_value < 0:
-            raise ValueError("desired value must be non-negative")
-        if self.desired_bundle == 0 and self.desired_value != 0:
-            raise ValueError("empty desired bundle requires value 0")
-
-    @property
-    def num_items(self) -> int:
-        return self.items
-
-    def value(self, bundle: Bundle) -> Money:
-        self._check_bundle(bundle)
-        if bundle & self.desired_bundle == self.desired_bundle:
-            return self.desired_value
-        return 0
-
-    def atoms(self) -> tuple[tuple[Bundle, Money], ...]:
-        if self.desired_value > 0:
-            return ((self.desired_bundle, self.desired_value),)
-        return ()
-
-
-@dataclass(frozen=True)
 class AdditiveValuation(Valuation):
     """Sum of per-item values over the bundle."""
 
@@ -213,6 +180,19 @@ class XorValuation(Valuation):
 
     def atoms(self) -> tuple[tuple[Bundle, Money], ...]:
         return tuple((b, v) for b, v in self.bids if v > 0)
+
+
+class SingleMindedValuation(XorValuation):
+    """Worth ``desired_value`` for any bundle containing ``desired_bundle``, else 0.
+
+    The XOR valuation with that one bid (none for the empty bundle), yet never
+    equal to an ``XorValuation``: the inherited dataclass equality compares classes.
+    """
+
+    def __init__(self, items: int, desired_bundle: Bundle, desired_value: Money) -> None:
+        if desired_bundle == 0 and desired_value != 0:
+            raise ValueError("empty desired bundle requires value 0")
+        super().__init__(items, ((desired_bundle, desired_value),) if desired_bundle else ())
 
 
 def monotone_closure(raw_table: Iterable[Money]) -> TableValuation:

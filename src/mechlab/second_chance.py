@@ -6,10 +6,10 @@ the allocation algorithm on the declarations and on every appeal suggestion,
 then keeps the candidate with the highest declared welfare.  Appeals are
 evaluated under a step meter so that a published time limit is enforceable:
 one step per valuation evaluation and one step per allocation-algorithm
-invocation incurred by the appeal.  For budget arithmetic, scoring one
-candidate output therefore costs ``1 + n`` steps (one invocation plus one
-evaluation per agent); that conversion is what the step-cost helpers below
-encode.
+invocation incurred by the appeal.  Scoring one candidate output costs
+``algorithm_step_cost(n) = 1 + n`` steps: ``charged_algorithm`` charges the
+invocation and ``StepMeter.charge`` the n evaluations.  A negative charge is
+rejected, so an appeal cannot refund itself budget.
 
 An appeal that runs out of budget, raises, or produces a malformed profile
 simply degrades to a decline: the mechanism behaves as if it were absent.
@@ -43,6 +43,8 @@ class StepMeter:
             raise ValueError("step budget must be non-negative")
 
     def charge(self, steps: int = 1) -> None:
+        if steps < 0:
+            raise ValueError(f"cannot charge a negative step count {steps}")
         if self.consumed + steps > self.budget:
             raise StepLimitExceeded(f"needs {steps} more steps, {self.budget - self.consumed} left")
         self.consumed += steps
@@ -56,11 +58,6 @@ def algorithm_step_cost(num_agents: int) -> int:
 def charged_algorithm(alg: AllocationAlgorithm, profile: TypeProfile, meter: StepMeter) -> Allocation:
     meter.charge(1)
     return alg(profile)
-
-
-def charged_welfare(profile: TypeProfile, alloc: Allocation, meter: StepMeter) -> Money:
-    meter.charge(profile.num_agents)
-    return welfare(profile, alloc)
 
 
 class Appeal(ABC):
@@ -100,11 +97,25 @@ def _best_suggestion(
     suggestions are drawn lazily, so an appeal producing one is charged right
     before that suggestion is scored.  None if no suggestion survives.
     """
+    def score(suggestion: TypeProfile) -> Money:
+        alloc = charged_algorithm(alg, suggestion, meter)
+        meter.charge(belief.num_agents)
+        return welfare(belief, alloc)
+
     return max(
         (s for s in suggestions if s is not None and _shaped_like(s, template)),
-        key=lambda s: charged_welfare(belief, charged_algorithm(alg, s, meter), meter),
+        key=score,
         default=None,
     )
+
+
+def _simulate(declared: TypeProfile, base: TypeProfile, family: Iterable[Appeal], agent: int,
+              true_valuation: Valuation, alg: AllocationAlgorithm,
+              meter: StepMeter) -> TypeProfile | None:
+    """The simulation appeals' shared step: the best of ``base`` and its family suggestions."""
+    belief = declared.replace(agent, true_valuation)
+    suggestions = chain((base,), (tau.transform(base, meter) for tau in family))
+    return _best_suggestion(suggestions, declared, alg, belief, meter)
 
 
 @dataclass(frozen=True)
@@ -206,9 +217,10 @@ class BestOf(Appeal):
 class Composed(Appeal):
     """Host-supplied transformation run under the meter.
 
-    The callback must do all of its algorithm invocations and valuation
-    evaluations through :func:`charged_algorithm` / :func:`charged_welfare`
-    (or charge the meter itself) and declare an honest worst-case bound.
+    The callback must run the algorithm through :func:`charged_algorithm`,
+    charge one step per valuation evaluation through ``meter.charge``, and
+    declare an honest worst-case bound.  ``meter.charge`` rejects a negative
+    step count, so a callback cannot refund itself budget.
     """
 
     fn: Callable[[TypeProfile, StepMeter], TypeProfile | None]
@@ -250,9 +262,7 @@ def evaluate_appeal(
     meter = StepMeter(time_limit)
     try:
         result = appeal.transform(profile, meter)
-    except StepLimitExceeded:
-        return None, meter.consumed
-    except Exception:
+    except Exception:  # budget exhaustion included: every failure is a decline
         return None, meter.consumed
     if result is not None and not _shaped_like(result, profile):
         return None, meter.consumed
@@ -307,32 +317,17 @@ class RevisionFunction:
     def get(self, opponents: tuple[Action, ...]) -> Action | None:
         return self._lookup.get(opponents)
 
-    def is_appeal_independent(self) -> bool:
-        """True when every domain vector carries only empty appeals."""
-        return all(
-            action.appeal == DECLINE for key, _ in self.entries for action in key
-        )
-
     def appeal_family(self) -> tuple[Appeal, ...]:
         """Every non-empty appeal appearing in the domain or the range, deduplicated.
 
         Domain appeals come first, then range appeals, in entry order; empty
         appeals are dropped since they can never contribute a candidate.
         """
-        family: list[Appeal] = []
-        seen: set[Appeal] = set()
-
-        def add(appeal: Appeal) -> None:
-            if appeal != DECLINE and appeal not in seen:
-                seen.add(appeal)
-                family.append(appeal)
-
-        for key, _ in self.entries:
-            for action in key:
-                add(action.appeal)
-        for _, value in self.entries:
-            add(value.appeal)
-        return tuple(family)
+        appeals = chain(
+            (action.appeal for key, _ in self.entries for action in key),
+            (value.appeal for _, value in self.entries),
+        )
+        return tuple(a for a in dict.fromkeys(appeals) if a != DECLINE)
 
 
 def check_step_limited(revision: RevisionFunction, bound_per_appeal: int,
@@ -362,27 +357,19 @@ def build_feasibly_truthful_appeal(
     declines.  Step cost: at most two scored algorithm runs plus the
     looked-up appeal's own cost.
     """
-    if not revision.is_appeal_independent():
+    if any(action.appeal != DECLINE for key, _ in revision.entries for action in key):
         raise ValueError("revision function must be appeal-independent")
 
     def fn(declared: TypeProfile, meter: StepMeter) -> TypeProfile | None:
-        key = tuple(
-            Action(declared[j], DECLINE)
-            for j in range(declared.num_agents)
-            if j != agent
-        )
-        entry = revision.get(key)
+        entry = revision.get(
+            tuple(Action(v, DECLINE) for j, v in enumerate(declared.valuations) if j != agent))
         if entry is None:
             return None
         revised = declared.replace(agent, entry.declaration)
-        belief = declared.replace(agent, true_valuation)
-        suggestions = chain((revised,), (tau.transform(revised, meter) for tau in (entry.appeal,)))
-        return _best_suggestion(suggestions, declared, alg, belief, meter)
+        return _simulate(declared, revised, (entry.appeal,), agent, true_valuation, alg, meter)
 
     def bound(n: int) -> int:
-        tau_bound = max(
-            (value.appeal.step_bound(n) for _, value in revision.entries), default=0
-        )
+        tau_bound = max((value.appeal.step_bound(n) for _, value in revision.entries), default=0)
         return 2 * algorithm_step_cost(n) + tau_bound
 
     return Composed(fn, bound)
@@ -407,14 +394,10 @@ def build_bounded_family_appeal(
     family = revision.appeal_family()
 
     def fn(declared: TypeProfile, meter: StepMeter) -> TypeProfile | None:
-        belief = declared.replace(agent, true_valuation)
-        suggestions = chain((declared,), (tau.transform(declared, meter) for tau in family))
-        return _best_suggestion(suggestions, declared, alg, belief, meter)
+        return _simulate(declared, declared, family, agent, true_valuation, alg, meter)
 
     def bound(n: int) -> int:
-        return (len(family) + 1) * algorithm_step_cost(n) + sum(
-            tau.step_bound(n) for tau in family
-        )
+        return (len(family) + 1) * algorithm_step_cost(n) + sum(tau.step_bound(n) for tau in family)
 
     return Composed(fn, bound)
 
@@ -446,13 +429,11 @@ def check_feasibly_dominant(
     knowledge).
     """
     for opponents, revised in revision.entries:
-        others = list(opponents)
-        actions_mine = tuple(others[:agent] + [action] + others[agent:])
-        actions_revised = tuple(others[:agent] + [revised] + others[agent:])
-        true_vals = [o.declaration for o in others]
-        true_types = TypeProfile(
-            tuple(true_vals[:agent] + [true_valuation] + true_vals[agent:])
-        )
+        before, after = opponents[:agent], opponents[agent:]
+        actions_mine = before + (action,) + after
+        actions_revised = before + (revised,) + after
+        true_vals = tuple(o.declaration for o in opponents)
+        true_types = TypeProfile(true_vals[:agent] + (true_valuation,) + true_vals[agent:])
         u_mine = run_second_chance(alg, actions_mine, pivot, time_limit, true_types).utilities[agent]
         u_revised = run_second_chance(alg, actions_revised, pivot, time_limit, true_types).utilities[agent]
         if u_revised > u_mine:

@@ -1,5 +1,6 @@
 """Tests for cost-minimization allocation problems and degeneracy escalation."""
 
+import heapq
 import itertools
 import random
 from fractions import Fraction
@@ -441,6 +442,53 @@ def test_label_setting_matches_enumeration_with_ties(seed, min_edges, max_edges,
         v = inst.seed_type()
         enumerated = min(inst.outputs(), key=lambda x: (-cmap_welfare(inst, v, x), x))
         assert _dijkstra_path(inst, v) == enumerated
+
+
+def _tuple_label_setting(instance, v):
+    """Label-setting with the output bit vector carried as a tuple in every label."""
+    flat = [value for vec in v for value in vec]
+    target = instance.terminals[0]
+    slot = [instance.output_from_edges((pos,)).index(1) for pos in range(len(instance.edges))]
+    heap = [(0, (0,) * len(flat), instance.source)]
+    settled = set()
+    while heap:
+        cost, bits, node = heapq.heappop(heap)
+        if node in settled:
+            continue
+        settled.add(node)
+        if node == target:
+            return bits
+        for pos, e in enumerate(instance.edges):
+            if e.tail == node and e.head not in settled:
+                extended = list(bits)
+                extended[slot[pos]] = 1
+                heapq.heappush(heap, (cost - flat[slot[pos]], tuple(extended), e.head))
+    raise ValueError("no path from source to target")
+
+
+def test_integer_labels_match_tuple_labels_on_random_paths():
+    rng = random.Random("cmap-integer-labels")
+    for _ in range(250):
+        inst = random_graph_cmap(rng, "path", 40, (0, 1, 2), 13)
+        v = inst.seed_type()
+        assert _dijkstra_path(inst, v) == _tuple_label_setting(inst, v)
+
+
+def test_integer_labels_match_tuple_labels_on_a_356_edge_layered_path():
+    # Two differently owned edges per hop plus a forward skip, costs with ties.
+    rng = random.Random("cmap-integer-labels-layered")
+    nodes, edges = 120, []
+    for i in range(nodes - 1):
+        for owner in rng.sample(range(8), 2):
+            edges.append(GraphEdge(i, i + 1, owner, rng.choice((0, 1, 2))))
+        if i + 2 < nodes:
+            skip = rng.randint(i + 2, min(i + 4, nodes - 1))
+            edges.append(GraphEdge(i, skip, rng.randrange(8), rng.choice((0, 1, 2))))
+    rng.shuffle(edges)
+    inst = GraphCmap(nodes, tuple(edges), 0, (nodes - 1,), "path")
+    assert len(inst.edges) == 356
+    v = inst.seed_type()
+    assert _dijkstra_path(inst, v) == _tuple_label_setting(inst, v)
 
 
 @pytest.mark.parametrize("structure", ["path", "multicast"])

@@ -1,6 +1,7 @@
 """Tests for domain types and welfare arithmetic."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -136,6 +137,25 @@ def test_evaluate_single_minded_ignores_partial_bundles():
     assert v.value(A) == 0
     assert v.value(AB) == 3
     assert v.value(0) == 0
+
+
+def test_single_minded_matches_its_definition_and_is_a_one_bid_xor():
+    rng = random.Random("single-minded")
+    cases = [(2, 0, 0), (3, 0b101, 0), (1, 1, 7)]
+    for _ in range(60):
+        m = rng.randint(1, 6)
+        cases.append((m, rng.randrange(1 << m), rng.choice((0, rng.randint(1, 50)))))
+    for m, desired, value in cases:
+        value = value if desired else 0
+        v = SingleMindedValuation(m, desired, value)
+        for bundle in range(1 << m):
+            assert v.value(bundle) == (value if bundle & desired == desired else 0)
+        assert v.atoms() == (((desired, value),) if value else ())
+        assert v == SingleMindedValuation(m, desired, value)
+        if desired:
+            assert v != XorValuation(m, ((desired, value),))
+    with pytest.raises(ValueError):
+        SingleMindedValuation(2, 0, 1)
 
 
 def test_evaluate_empty_bundle_is_zero_for_all_kinds():

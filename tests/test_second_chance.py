@@ -27,6 +27,7 @@ from mechlab.second_chance import (
     algorithm_step_cost,
     build_bounded_family_appeal,
     build_feasibly_truthful_appeal,
+    charged_algorithm,
     check_feasibly_dominant,
     check_step_limited,
     evaluate_appeal,
@@ -142,6 +143,24 @@ def test_composed_exceptions_degrade_to_decline():
 def test_composed_non_profile_output_degrades_to_decline(malformed):
     appeal = Composed(lambda profile, meter: malformed, lambda n: 0)
     assert evaluate_appeal(appeal, VICKREY_PROFILE, 100) == (None, 0)
+
+
+def test_negative_charge_cannot_buy_steps():
+    # Refunding 1000 steps would let 50 charged runs fit a 3-step limit.
+    alg = greedy_algorithm()
+
+    def refund_then_run(profile, meter):
+        meter.charge(-1000)
+        for _ in range(50):
+            charged_algorithm(alg, profile, meter)
+        return profile
+
+    appeal = Composed(refund_then_run, lambda n: 3)
+    assert evaluate_appeal(appeal, VICKREY_PROFILE, 3) == (None, 0)
+    meter = StepMeter(3)
+    with pytest.raises(ValueError):
+        meter.charge(-1)
+    assert meter.consumed == 0
 
 
 def test_best_of_skips_a_non_profile_suggestion():
@@ -386,6 +405,22 @@ def test_check_step_limited_bounds_family_size_and_each_appeal():
     assert check_step_limited(revision, bound, 2, 3)
     assert not check_step_limited(revision, bound, 1, 3)
     assert not check_step_limited(revision, bound - 1, 2, 3)
+
+
+def test_appeal_family_is_domain_then_range_first_occurrences_without_decline():
+    lowered = ReplaceOwn(0, SingleMindedValuation(1, 1, 1500))
+    fixed = ReplaceProfile(VICKREY_PROFILE)
+    raised = ReplaceOwn(1, SingleMindedValuation(1, 1, 1800))
+    range_only = ReplaceProfile(single_item_profile(1900, 1650, 1000))
+    bidder = SingleMindedValuation(1, 1, 1000)
+    revision = RevisionFunction((
+        ((Action(bidder, DECLINE), Action(bidder, ReplaceOwn(0, SingleMindedValuation(1, 1, 1500)))),
+         Action(bidder, raised)),
+        ((Action(bidder, fixed), Action(bidder, lowered)), Action(bidder, fixed)),
+        ((Action(bidder, DECLINE), Action(bidder, DECLINE)), Action(bidder, DECLINE)),
+        ((Action(bidder, raised), Action(bidder, DECLINE)), Action(bidder, range_only)),
+    ))
+    assert revision.appeal_family() == (lowered, fixed, raised, range_only)
 
 
 # ------------------------------------------------- bounded-family appeals
