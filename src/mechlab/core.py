@@ -320,6 +320,8 @@ class AffineWeights:
 
     ``agent_weights`` are strictly positive rationals; ``preference`` is the
     mechanism's own valuation over allocations (None means identically zero).
+    It must be a pure function of the allocation: the exact affine solver
+    calls it once per allocation per weights object and reuses the values.
     """
 
     agent_weights: tuple[Fraction, ...]

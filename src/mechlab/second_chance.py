@@ -9,7 +9,8 @@ one step per valuation evaluation and one step per allocation-algorithm
 invocation incurred by the appeal.  Scoring one candidate output costs
 ``algorithm_step_cost(n) = 1 + n`` steps: ``charged_algorithm`` charges the
 invocation and ``StepMeter.charge`` the n evaluations.  A negative charge is
-rejected, so an appeal cannot refund itself budget.
+rejected and the meter's fields are read-only, so an appeal cannot refund or
+buy itself budget.
 
 An appeal that runs out of budget, raises, or produces a malformed profile
 simply degrades to a decline: the mechanism behaves as if it were absent.
@@ -31,12 +32,19 @@ class StepLimitExceeded(Exception):
     """An appeal tried to compute past its step budget."""
 
 
-@dataclass
+@dataclass(frozen=True, eq=False, slots=True)
 class StepMeter:
-    """Step accounting for one appeal evaluation; consumed never exceeds budget."""
+    """Step accounting for one appeal evaluation; consumed never exceeds budget.
+
+    ``budget`` and ``consumed`` are read-only and ``charge`` is their only
+    writer, so an appeal that assigns to either (to buy itself budget) raises
+    and degrades to a decline.  This closes attribute assignment, not
+    ``object.__setattr__``; a metered handle that keeps the meter out of the
+    appeal's reach closes the rest.
+    """
 
     budget: int
-    consumed: int = 0
+    consumed: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
         if self.budget < 0:
@@ -47,7 +55,7 @@ class StepMeter:
             raise ValueError(f"cannot charge a negative step count {steps}")
         if self.consumed + steps > self.budget:
             raise StepLimitExceeded(f"needs {steps} more steps, {self.budget - self.consumed} left")
-        self.consumed += steps
+        object.__setattr__(self, "consumed", self.consumed + steps)
 
 
 def algorithm_step_cost(num_agents: int) -> int:
@@ -220,7 +228,8 @@ class Composed(Appeal):
     The callback must run the algorithm through :func:`charged_algorithm`,
     charge one step per valuation evaluation through ``meter.charge``, and
     declare an honest worst-case bound.  ``meter.charge`` rejects a negative
-    step count, so a callback cannot refund itself budget.
+    step count and the meter's fields are read-only, so a callback cannot
+    refund or buy itself budget.
     """
 
     fn: Callable[[TypeProfile, StepMeter], TypeProfile | None]

@@ -13,7 +13,8 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from operator import add
+from fractions import Fraction
+from operator import add, attrgetter
 from typing import Callable, Iterable, Sequence
 
 from .core import (
@@ -28,7 +29,6 @@ from .core import (
     full_bundle,
     units,
     value_table,
-    weighted_welfare,
     welfare,
 )
 
@@ -140,8 +140,16 @@ def solve_optimal(profile: TypeProfile) -> Allocation:
         BudgetExceededError: if n * 2**m exceeds ``DEFAULT_WD_BUDGET``.
     """
     _check_budget(profile.num_agents, profile.num_items)
-    size = 1 << profile.num_items
-    tables = tuple(value_table(v) for v in profile.valuations)
+    return _smallest_optimum(tuple(value_table(v) for v in profile.valuations),
+                             1 << profile.num_items)
+
+
+def _smallest_optimum(tables: tuple[tuple[Money, ...], ...], size: int) -> Allocation:
+    """The lexicographically smallest allocation maximizing the sum of ``tables``.
+
+    Items may stay unallocated, so this is the argmin of (-total, bundles)
+    over every allocation.
+    """
     rest = _suffix_rows(tables[1:], size)  # rest[k]: agents k+1..
     # full ^ mask == full - mask, so reversing a row pairs mask with its complement
     target = max(map(add, tables[0], reversed(rest[0])))
@@ -232,17 +240,19 @@ def solve_in_range(profile: TypeProfile, allocation_range: AllocationRange) -> A
     return min(allocation_range.allocations, key=lambda a: (-welfare(profile, a), a.bundles))
 
 
-def solve_optimal_weighted(weights: AffineWeights, profile: TypeProfile) -> Allocation:
-    """Weighted-welfare-maximizing allocation by explicit enumeration.
+# Preference values depend on the allocation alone, so every solve for one
+# weights object (a mechanism's own and its pivots') reads the same ones.  One
+# entry, matched by identity so an unhashable preference works; holding the
+# weights object keeps its id from being reused.
+_last_preference_pass: tuple = (None, 0, 0, None)
 
-    Enumerates all (n+1)**m allocations, each item to one agent or to nobody,
-    so this is strictly a desk-scale tool; ties break to the lexicographically
-    smallest encoding.
-    """
-    n, m = profile.num_agents, profile.num_items
-    if (n + 1) ** m > DEFAULT_WD_BUDGET:
-        raise BudgetExceededError(f"weighted winner determination needs "
-                                  f"{(n + 1) ** m} allocations, budget is {DEFAULT_WD_BUDGET}")
+
+def _preference_pass(weights: AffineWeights, n: int, m: int, scale: int) -> tuple[list, list, list]:
+    """Every allocation, agent i's bundle in each as column i, and preference * scale in each."""
+    global _last_preference_pass
+    held, held_n, held_m, scored = _last_preference_pass
+    if held is weights and held_n == n and held_m == m:
+        return scored
 
     def allocation(owners: tuple[int, ...]) -> Allocation:
         bundles = [0] * (n + 1)  # bundles[n]: the items nobody gets
@@ -250,10 +260,61 @@ def solve_optimal_weighted(weights: AffineWeights, profile: TypeProfile) -> Allo
             bundles[owner] |= 1 << item
         return Allocation(tuple(bundles[:n]))
 
-    return min(
-        map(allocation, itertools.product(range(n + 1), repeat=m)),
-        key=lambda a: (-weighted_welfare(weights, profile, a), a.bundles),
+    allocations = list(map(allocation, itertools.product(range(n + 1), repeat=m)))
+    columns = list(zip(*(a.bundles for a in allocations)))
+    scored = allocations, columns, [weights.preference(a) * scale for a in allocations]
+    _last_preference_pass = weights, n, m, scored
+    return scored
+
+
+def _off_grid(total, scale: int) -> ValueError:
+    return ValueError(
+        f"weighted welfare {Fraction(total) / scale} is not an integer number of micro-units")
+
+
+def solve_optimal_weighted(weights: AffineWeights, profile: TypeProfile) -> Allocation:
+    """Weighted-welfare-maximizing allocation, in exact integers.
+
+    With D the LCM of the weights' denominators, agent i's value table times
+    a_i * D is integral, and each allocation's total over these tables is D
+    times its weighted welfare, so they rank allocations exactly.  Without a
+    preference, ``solve_optimal``'s subset DP maximizes them in
+    O((n-1) * 3**m).  With one, every one of the (n+1)**m allocations is
+    scored, and the preference is called once per allocation per weights
+    object (see ``AffineWeights``).  Either way ties break to the
+    lexicographically smallest encoding, and the (n+1)**m budget applies.
+
+    Raises:
+        BudgetExceededError: if (n+1)**m exceeds ``DEFAULT_WD_BUDGET``.
+        ValueError: if the weights' arity is not n, or if some allocation's
+            weighted welfare is not an integer number of micro-units.
+    """
+    n, m = profile.num_agents, profile.num_items
+    if (n + 1) ** m > DEFAULT_WD_BUDGET:
+        raise BudgetExceededError(f"weighted winner determination needs "
+                                  f"{(n + 1) ** m} allocations, budget is {DEFAULT_WD_BUDGET}")
+    if weights.num_agents != n:
+        raise ValueError("weight arity does not match the number of agents")
+    scale = math.lcm(*(a.denominator for a in weights.agent_weights))
+    tables = tuple(
+        tuple(x * (a.numerator * (scale // a.denominator)) for x in value_table(v))
+        for a, v in zip(weights.agent_weights, profile.valuations)
     )
+    if weights.preference is None:
+        # value(empty) = 0, so some total is off the grid iff some single term is
+        for entry in itertools.chain.from_iterable(tables):
+            if entry % scale:
+                raise _off_grid(entry, scale)
+        return _smallest_optimum(tables, 1 << m)
+    allocations, columns, totals = _preference_pass(weights, n, m, scale)
+    for table, column in zip(tables, columns):
+        totals = list(map(add, totals, map(table.__getitem__, column)))
+    for total in totals:
+        if total % scale:
+            raise _off_grid(total, scale)
+    best = max(totals)
+    return min((a for a, total in zip(allocations, totals) if total == best),
+               key=attrgetter("bundles"))
 
 
 def affine_optimal_algorithm(weights: AffineWeights) -> AllocationAlgorithm:

@@ -163,6 +163,38 @@ def test_negative_charge_cannot_buy_steps():
     assert meter.consumed == 0
 
 
+def test_appeal_that_raises_its_budget_declines():
+    alg = greedy_algorithm()
+
+    def buy_then_run(profile, meter):
+        meter.budget += 1000
+        for _ in range(50):
+            charged_algorithm(alg, profile, meter)
+        return profile
+
+    appeal = Composed(buy_then_run, lambda n: 3)
+    assert evaluate_appeal(appeal, VICKREY_PROFILE, 3) == (None, 0)
+
+
+def test_appeal_that_resets_its_consumed_steps_declines():
+    alg = greedy_algorithm()
+
+    def reset_then_run(profile, meter):
+        for _ in range(50):
+            if meter.consumed == meter.budget:
+                meter.consumed = 0
+            charged_algorithm(alg, profile, meter)
+        return profile
+
+    appeal = Composed(reset_then_run, lambda n: 3)
+    assert evaluate_appeal(appeal, VICKREY_PROFILE, 3) == (None, 3)
+    meter = StepMeter(3)
+    for name in ("budget", "consumed"):
+        with pytest.raises(AttributeError):
+            setattr(meter, name, 0)
+    assert (meter.budget, meter.consumed) == (3, 0)
+
+
 def test_best_of_skips_a_non_profile_suggestion():
     target = single_item_profile(9, 9, 9)
     best_of = BestOf(

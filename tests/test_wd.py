@@ -8,6 +8,7 @@ import pytest
 
 from helpers import all_allocations, brute_optimal, brute_optimal_welfare, monotone_tables, random_profile
 from mechlab import wd
+from mechlab.payments import affine_based_payments, clarke_pivot
 from mechlab.core import (
     MAX_ITEMS,
     AdditiveValuation,
@@ -27,6 +28,7 @@ from mechlab.core import (
 from mechlab.wd import (
     AllocationRange,
     _density_key,
+    affine_optimal_algorithm,
     check_reasonable,
     excluded_optima,
     greedy_algorithm,
@@ -221,19 +223,40 @@ def test_weighted_optimum_with_unit_weights_matches_enumeration():
         assert solve_optimal_weighted(unit_weights(profile.num_agents), profile) == expected
 
 
+def enumerated_weighted_optimum(weights, profile):
+    """The weighted optimum by scoring every allocation with ``weighted_welfare``."""
+    return min(all_allocations(profile.num_agents, profile.num_items),
+               key=lambda a: (-weighted_welfare(weights, profile, a), a.bundles))
+
+
+def outcome(solver, weights, profile):
+    try:
+        return solver(weights, profile)
+    except ValueError:
+        return ValueError
+
+
+WEIGHT_CHOICES = (Fraction(1), Fraction(2), Fraction(3), Fraction(1, 2), Fraction(2, 3), Fraction(3, 2))
+
+
 def test_weighted_optimum_matches_enumeration_with_weights_and_preference():
-    rng = random.Random(98)
-    for k in range(60):
-        profile = random_profile(rng, rng.randint(1, 3), rng.randint(1, 3), max_value=2)
-        n, m = profile.num_agents, profile.num_items
-        bonus = {a.bundles: rng.choice((0, 0, 1, 2)) for a in all_allocations(n, m)}
-        weights = AffineWeights(
-            tuple(Fraction(rng.randint(1, 3)) for _ in range(n)),
-            (lambda a: bonus[a.bundles]) if k % 2 else None,
-        )
-        expected = min(all_allocations(n, m),
-                       key=lambda a: (-weighted_welfare(weights, profile, a), a.bundles))
-        assert solve_optimal_weighted(weights, profile) == expected
+    rng = random.Random(99)
+    kinds, answers = set(), set()
+    for k in range(300):
+        n, m = rng.randint(1, 3), rng.randint(1, 4)
+        profile = random_profile(rng, n, m, max_value=2)
+        kinds.update(type(v) for v in profile.valuations)
+        preference = None
+        if k % 2:
+            bonus = {a.bundles: rng.choice((0, 0, 1, 2, Fraction(1, 2)))
+                     for a in all_allocations(n, m)}
+            preference = lambda a, bonus=bonus: bonus[a.bundles]
+        weights = AffineWeights(tuple(rng.choice(WEIGHT_CHOICES) for _ in range(n)), preference)
+        expected = outcome(enumerated_weighted_optimum, weights, profile)
+        assert outcome(solve_optimal_weighted, weights, profile) == expected
+        answers.add((expected is ValueError, preference is None))
+    assert len(kinds) == 4
+    assert len(answers) == 4  # both paths both solve and reject
 
 
 def test_weighted_optimum_budget_guard(monkeypatch):
@@ -243,6 +266,61 @@ def test_weighted_optimum_budget_guard(monkeypatch):
     monkeypatch.setattr(wd, "DEFAULT_WD_BUDGET", 8)
     with pytest.raises(BudgetExceededError, match="needs 9 allocations, budget is 8"):
         solve_optimal_weighted(unit_weights(2), profile)
+
+
+class CountingPreference:
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, alloc):
+        self.calls += 1
+        return alloc.bundles[0] % 3
+
+
+def test_preference_read_once_per_allocation_per_weights_object():
+    profile = random_profile(random.Random(5), 2, 3)
+    for _ in range(2):
+        preference = CountingPreference()
+        weights = AffineWeights((Fraction(1), Fraction(1)), preference)
+        alg = affine_optimal_algorithm(weights)
+        affine_based_payments(alg, profile, weights, clarke_pivot(alg))  # three solves
+        assert preference.calls == 3 ** 3  # (n+1)**m allocations, once each
+
+
+class UnhashablePreference:
+    """A bonus per item given to one agent; all instances compare equal, none hash."""
+
+    def __init__(self, bonus, agent):
+        self.bonus, self.agent = bonus, agent
+
+    def __eq__(self, other):
+        return isinstance(other, UnhashablePreference)
+
+    __hash__ = None
+
+    def __call__(self, alloc):
+        return self.bonus * alloc.bundles[self.agent].bit_count()
+
+
+def test_unhashable_preference_is_supported():
+    weights = AffineWeights((Fraction(1), Fraction(1)), UnhashablePreference(5, 0))
+    with pytest.raises(TypeError):
+        hash(weights)
+    profile = table_additive_profile()
+    assert solve_optimal_weighted(weights, profile) == enumerated_weighted_optimum(weights, profile)
+    assert solve_optimal_weighted(weights, profile) == Allocation((AB, 0))
+
+
+def test_alternating_weights_objects_each_get_their_own_optimum():
+    profile = table_additive_profile()
+    hashable = AffineWeights((Fraction(1), Fraction(2)), lambda a: 3 * a.bundles[0].bit_count())
+    favour_0 = AffineWeights((Fraction(1), Fraction(1)), UnhashablePreference(10, 0))
+    neutral = AffineWeights((Fraction(1), Fraction(1)), UnhashablePreference(0, 0))
+    assert favour_0 == neutral
+    for weights in (favour_0, neutral, hashable, favour_0, hashable, neutral, favour_0):
+        assert solve_optimal_weighted(weights, profile) == enumerated_weighted_optimum(weights, profile)
+    assert solve_optimal_weighted(favour_0, profile) == Allocation((AB, 0))
+    assert solve_optimal_weighted(neutral, profile) == Allocation((0, AB))
 
 
 def test_verify_maximal_single_winner_clean():
