@@ -1,22 +1,19 @@
 """Cost-minimization allocation problems: instances, solvers, degeneracy tooling.
 
-An instance fixes per-agent component counts and a set of allowable outputs,
-each output a flat 0/1 vector over all components in agent-major order.
-Types assign a value (typically a negated cost, so <= 0) to every component;
-the welfare of an output is the sum of the selected components' values and
-the goal is to maximize it, i.e. minimize total cost.
-
-Graph-derived instances model procurement on a network whose edges are
-privately owned: outputs are either source-rooted trees covering a terminal
-set (multicast) or source-to-target paths.  The suboptimal rules here are
+An instance is procurement on a directed graph whose edges are privately
+owned.  Its components are the edges, grouped by owner, and each output is a
+flat 0/1 vector over them in agent-major order: a source-rooted tree covering
+a terminal set (multicast) or a source-to-target path.  Types assign a value
+(typically a negated cost, so <= 0) to every component; the welfare of an
+output is the sum of the selected components' values and the goal is to
+maximize it, i.e. minimize total cost.  The suboptimal rule here is
 deliberately cost-blind, so escalating the cost of every component outside
-the optimum drives their normalized welfare gap arbitrarily high.
+the optimum drives its normalized welfare gap arbitrarily high.
 """
 
 from __future__ import annotations
 
 import heapq
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
@@ -35,62 +32,6 @@ PATH = "path"
 ENUM_EDGE_LIMIT = 12
 
 
-class CmapInstance(ABC):
-    """Allowable-output structure shared by explicit and graph-derived instances."""
-
-    @property
-    @abstractmethod
-    def component_counts(self) -> tuple[int, ...]: ...
-
-    @property
-    def num_agents(self) -> int:
-        return len(self.component_counts)
-
-    @property
-    def total_components(self) -> int:
-        return sum(self.component_counts)
-
-    @abstractmethod
-    def is_allowable(self, output: CmapOutput) -> bool: ...
-
-    @abstractmethod
-    def outputs(self) -> tuple[CmapOutput, ...]:
-        """All allowable outputs, deterministically ordered."""
-
-    def check_type(self, v: CmapType) -> None:
-        if len(v) != self.num_agents:
-            raise ValueError(f"type covers {len(v)} agents, instance has {self.num_agents}")
-        for i, (vec, count) in enumerate(zip(v, self.component_counts)):
-            if len(vec) != count:
-                raise ValueError(f"agent {i} type has {len(vec)} components, expected {count}")
-
-
-@dataclass(frozen=True)
-class ExplicitCmap(CmapInstance):
-    """An instance given by an explicit enumeration of its allowable outputs."""
-
-    counts: tuple[int, ...]
-    allowable: tuple[CmapOutput, ...]
-
-    def __post_init__(self) -> None:
-        if not self.allowable:
-            raise ValueError("instance needs at least one allowable output")
-        total = sum(self.counts)
-        for x in self.allowable:
-            if len(x) != total or any(bit not in (0, 1) for bit in x):
-                raise ValueError(f"output {x} is not a 0/1 vector of length {total}")
-
-    @property
-    def component_counts(self) -> tuple[int, ...]:
-        return self.counts
-
-    def is_allowable(self, output: CmapOutput) -> bool:
-        return tuple(output) in set(self.allowable)
-
-    def outputs(self) -> tuple[CmapOutput, ...]:
-        return self.allowable
-
-
 @dataclass(frozen=True)
 class GraphEdge:
     tail: int
@@ -104,7 +45,7 @@ class GraphEdge:
 
 
 @dataclass(frozen=True)
-class GraphCmap(CmapInstance):
+class GraphCmap:
     """A procurement instance on a directed graph with privately owned edges.
 
     Components are edges, grouped by owner in edge input order; the flat
@@ -179,6 +120,17 @@ class GraphCmap(CmapInstance):
     def component_counts(self) -> tuple[int, ...]:
         return self._counts
 
+    @property
+    def num_agents(self) -> int:
+        return len(self._counts)
+
+    def check_type(self, v: CmapType) -> None:
+        if len(v) != self.num_agents:
+            raise ValueError(f"type covers {len(v)} agents, instance has {self.num_agents}")
+        for i, (vec, count) in enumerate(zip(v, self._counts)):
+            if len(vec) != count:
+                raise ValueError(f"agent {i} type has {len(vec)} components, expected {count}")
+
     def output_from_edges(self, edge_positions: Iterable[int]) -> CmapOutput:
         bits = [0] * len(self.edges)
         for pos in edge_positions:
@@ -231,7 +183,7 @@ class GraphCmap(CmapInstance):
         return tuple(tuple(vec) for vec in per_agent)
 
     def is_allowable(self, output: CmapOutput) -> bool:
-        if len(output) != self.total_components or any(b not in (0, 1) for b in output):
+        if len(output) != len(self.edges) or any(b not in (0, 1) for b in output):
             return False
         return self._allows(self.edges_from_output(output))
 
@@ -266,6 +218,7 @@ class GraphCmap(CmapInstance):
         return self.structure == MULTICAST or len(self._branches(tree)) == len(selected)
 
     def outputs(self) -> tuple[CmapOutput, ...]:
+        """All allowable outputs, sorted."""
         if len(self.edges) > ENUM_EDGE_LIMIT:
             raise BudgetExceededError(
                 f"{len(self.edges)} edges exceed the enumeration limit of {ENUM_EDGE_LIMIT}"
@@ -282,7 +235,7 @@ class GraphCmap(CmapInstance):
 CmapAlgorithm = AllocationAlgorithm
 
 
-def cmap_welfare(instance: CmapInstance, v: CmapType, output: CmapOutput) -> Money:
+def cmap_welfare(instance: GraphCmap, v: CmapType, output: CmapOutput) -> Money:
     """Sum of selected component values (negated total cost), exact."""
     instance.check_type(v)
     if not instance.is_allowable(output):
@@ -305,7 +258,7 @@ def _dijkstra_path(instance: GraphCmap, v: CmapType) -> CmapOutput:
     if any(value > 0 for value in flat):
         raise ValueError("label-setting requires non-positive component values")
     target = instance.terminals[0]
-    size = instance.total_components
+    size = len(instance.edges)
     heap = [(0, 0, instance.source)]
     settled: set[int] = set()
     while heap:
@@ -324,23 +277,22 @@ def _dijkstra_path(instance: GraphCmap, v: CmapType) -> CmapOutput:
     raise ValueError("no path from source to target")
 
 
-def solve_cmap_optimal(instance: CmapInstance, v: CmapType) -> CmapOutput:
+def solve_cmap_optimal(instance: GraphCmap, v: CmapType) -> CmapOutput:
     """Welfare-argmax over the allowable outputs; ties lexicographically smallest.
 
-    Explicit instances and graphs of at most 12 edges are solved by
-    enumeration; larger path instances fall back to exact label-setting, and
-    larger multicast instances raise ``BudgetExceededError`` from ``outputs``.
+    Graphs of at most 12 edges are solved by enumeration; larger path
+    instances fall back to exact label-setting, and larger multicast
+    instances raise ``BudgetExceededError`` from ``outputs``.
     """
     instance.check_type(v)
-    large = isinstance(instance, GraphCmap) and len(instance.edges) > ENUM_EDGE_LIMIT
-    if large and instance.structure == PATH:
+    if len(instance.edges) > ENUM_EDGE_LIMIT and instance.structure == PATH:
         return _dijkstra_path(instance, v)
     # outputs() yields allowable outputs only, so each is scored by a dot product
     flat = [value for vec in v for value in vec]
     return min(instance.outputs(), key=lambda x: (-sum(map(mul, flat, x)), x))
 
 
-def solve_cmap_heuristic(instance: CmapInstance, v: CmapType) -> CmapOutput:
+def solve_cmap_heuristic(instance: GraphCmap, v: CmapType) -> CmapOutput:
     """A deterministic, deliberately cost-blind suboptimal rule.
 
     The output is the terminals' branches of one search tree from the source,
@@ -351,8 +303,6 @@ def solve_cmap_heuristic(instance: CmapInstance, v: CmapType) -> CmapOutput:
     Because the rule never reads the type, escalating off-optimum costs can
     make its output arbitrarily bad while staying allowable.
     """
-    if not isinstance(instance, GraphCmap):
-        raise ValueError("the heuristic is defined for graph-derived instances only")
     instance.check_type(v)
     return instance.output_from_edges(instance._branches(
         instance._dfs_tree() if instance.structure == PATH else instance._hop_tree()))
@@ -364,14 +314,6 @@ def optimal_cmap_algorithm() -> CmapAlgorithm:
 
 def heuristic_cmap_algorithm() -> CmapAlgorithm:
     return CmapAlgorithm("heuristic", HEURISTIC, solve_cmap_heuristic)
-
-
-def make_cmap_algorithm(name: str) -> CmapAlgorithm:
-    if name == "optimal":
-        return optimal_cmap_algorithm()
-    if name == "heuristic":
-        return heuristic_cmap_algorithm()
-    raise ValueError(f"unknown cost-minimization algorithm {name!r}")
 
 
 def forcing_type(v: CmapType, output: CmapOutput, alpha: Money) -> CmapType:
@@ -391,7 +333,7 @@ def forcing_type(v: CmapType, output: CmapOutput, alpha: Money) -> CmapType:
     return tuple(forced)
 
 
-def degeneracy_ratio(instance: CmapInstance, alg: CmapAlgorithm, v: CmapType) -> Fraction:
+def degeneracy_ratio(instance: GraphCmap, alg: CmapAlgorithm, v: CmapType) -> Fraction:
     """Normalized optimality gap (g_opt - g_alg) / (|g_opt| + 1), exact and >= 0.
 
     The +1 regularizer is one micro-unit, keeping the ratio finite at zero
@@ -403,7 +345,7 @@ def degeneracy_ratio(instance: CmapInstance, alg: CmapAlgorithm, v: CmapType) ->
 
 
 def escalate_degeneracy(
-    instance: CmapInstance,
+    instance: GraphCmap,
     alg: CmapAlgorithm,
     seed: CmapType,
     alphas: Sequence[Money],

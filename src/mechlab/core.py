@@ -13,6 +13,7 @@ import functools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 from typing import Callable, Iterable
 
 Money = int
@@ -30,22 +31,6 @@ class BudgetExceededError(RuntimeError):
 def units(amount: int) -> Money:
     """Whole currency units expressed in micro-units."""
     return amount * UNIT
-
-
-def money_to_decimal(micro: Money) -> str:
-    """Render a micro-unit amount as a decimal currency string, exactly."""
-    sign = "-" if micro < 0 else ""
-    whole, frac = divmod(abs(micro), UNIT)
-    return f"{sign}{whole}.{frac:06d}"
-
-
-def bundle_of(items: Iterable[int]) -> Bundle:
-    mask = 0
-    for j in items:
-        if j < 0:
-            raise ValueError(f"negative item index {j}")
-        mask |= 1 << j
-    return mask
 
 
 def full_bundle(num_items: int) -> Bundle:
@@ -256,10 +241,6 @@ class Allocation:
         return self.union() >> num_items == 0
 
 
-def empty_allocation(num_agents: int) -> Allocation:
-    return Allocation((0,) * num_agents)
-
-
 @dataclass(frozen=True)
 class TypeProfile:
     """A vector of valuations, one per agent, over a shared item universe."""
@@ -295,10 +276,6 @@ class TypeProfile:
         return TypeProfile(tuple(vals))
 
 
-def profile_of(*valuations: Valuation) -> TypeProfile:
-    return TypeProfile(tuple(valuations))
-
-
 def _check_alloc(profile: TypeProfile, alloc: Allocation) -> None:
     if alloc.num_agents != profile.num_agents:
         raise ValueError(
@@ -330,6 +307,8 @@ class AffineWeights:
     def __post_init__(self) -> None:
         if not self.agent_weights:
             raise ValueError("need at least one agent weight")
+        if not all(isinstance(a, Rational) for a in self.agent_weights):
+            raise TypeError("agent weights must be rationals, such as int or Fraction")
         if any(a <= 0 for a in self.agent_weights):
             raise ValueError("agent weights must be strictly positive")
 
@@ -339,10 +318,6 @@ class AffineWeights:
 
     def preference_value(self, alloc: Allocation) -> Money:
         return 0 if self.preference is None else self.preference(alloc)
-
-
-def unit_weights(num_agents: int) -> AffineWeights:
-    return AffineWeights((Fraction(1),) * num_agents)
 
 
 def weighted_welfare(weights: AffineWeights, profile: TypeProfile, alloc: Allocation) -> Money:

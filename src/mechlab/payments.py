@@ -47,7 +47,7 @@ def zero_pivot() -> PivotRule:
     return PivotRule("zero", lambda agent, declared: 0)
 
 
-def clarke_pivot(alg: AllocationAlgorithm, *, name: str | None = None) -> PivotRule:
+def clarke_pivot(alg: AllocationAlgorithm) -> PivotRule:
     """Charge each agent the welfare the others could get without it.
 
     h_i = -g((0_i, w_-i), alg((0_i, w_-i))).  With the exact solver this is
@@ -61,7 +61,7 @@ def clarke_pivot(alg: AllocationAlgorithm, *, name: str | None = None) -> PivotR
         lowered = declared.replace(agent, zero_valuation(declared.num_items))
         return -welfare(lowered, alg(lowered))
 
-    return PivotRule(name or f"clarke({alg.name})", fn)
+    return PivotRule(f"clarke({alg.name})", fn)
 
 
 def _clarke_exact(agent: int, declared: TypeProfile) -> Money:
@@ -70,20 +70,14 @@ def _clarke_exact(agent: int, declared: TypeProfile) -> Money:
     return -excluded_optima(declared)[agent]
 
 
-def make_pivot(name: str, alg: AllocationAlgorithm | None = None) -> PivotRule:
-    """Resolve a pivot rule by its public name.
+def make_pivot(name: str) -> PivotRule:
+    """Resolve the exact Clarke pivot by the name the benchmark uses, ``clarke_exact``.
 
-    ``clarke_exact`` computes every agent's pivot at once, with
+    It computes every agent's pivot at once, with
     :func:`mechlab.wd.excluded_optima`, which keeps them for the last profile.
     """
-    if name == "zero":
-        return zero_pivot()
     if name == "clarke_exact":
         return PivotRule("clarke_exact", _clarke_exact)
-    if name == "clarke_algorithmic":
-        if alg is None:
-            raise ValueError("clarke_algorithmic needs the mechanism's allocation algorithm")
-        return clarke_pivot(alg, name="clarke_algorithmic")
     raise ValueError(f"unknown pivot rule {name!r}")
 
 
@@ -114,13 +108,6 @@ def vcg_outcome(
         v.value(b) + p for v, b, p in zip(true_types.valuations, alloc.bundles, payments)
     )
     return MechanismOutcome(alloc, payments, utilities)
-
-
-def vcg_based_payments(
-    alg: AllocationAlgorithm, declared: TypeProfile, pivot: PivotRule
-) -> tuple[Money, ...]:
-    """p_i = sum of the others' declared values at alg(w), plus the pivot term."""
-    return vcg_outcome(alg(declared), declared, pivot, declared).payments
 
 
 def affine_based_payments(
@@ -203,18 +190,3 @@ def run_vcg_based(
 ) -> MechanismOutcome:
     """Run allocation + payments and account utilities against the true types."""
     return vcg_outcome(alg(declared), declared, pivot, true_types)
-
-
-@dataclass(frozen=True)
-class VcgMechanism:
-    """A VCG-based mechanism: an allocation algorithm plus a pivot rule."""
-
-    algorithm: AllocationAlgorithm
-    pivot: PivotRule
-
-    @property
-    def name(self) -> str:
-        return f"vcg_based({self.algorithm.name}, {self.pivot.name})"
-
-    def run(self, declared: TypeProfile, true_types: TypeProfile) -> MechanismOutcome:
-        return run_vcg_based(self.algorithm, declared, self.pivot, true_types)

@@ -174,27 +174,6 @@ class ReplaceProfile(Appeal):
 
 
 @dataclass(frozen=True)
-class TableLookup(Appeal):
-    """Finite explicit map of declared profiles to suggested profiles."""
-
-    entries: tuple[tuple[TypeProfile, TypeProfile], ...]
-
-    def __post_init__(self) -> None:
-        for key, out in self.entries:
-            if not _shaped_like(out, key):
-                raise ValueError("lookup outputs must match their key's arity and universe")
-
-    def transform(self, profile: TypeProfile, meter: StepMeter) -> TypeProfile | None:
-        for key, out in self.entries:
-            if key == profile:
-                return out
-        return None
-
-    def step_bound(self, num_agents: int) -> int:
-        return 0
-
-
-@dataclass(frozen=True)
 class BestOf(Appeal):
     """Try several sub-appeals and keep the suggestion whose output scores best.
 
@@ -319,9 +298,6 @@ class RevisionFunction:
         self._lookup = {key: value for key, value in self.entries}
         if len(self._lookup) != len(self.entries):
             raise ValueError("revision function domain has duplicate keys")
-
-    def domain(self) -> tuple[tuple[Action, ...], ...]:
-        return tuple(key for key, _ in self.entries)
 
     def get(self, opponents: tuple[Action, ...]) -> Action | None:
         return self._lookup.get(opponents)

@@ -48,8 +48,11 @@ HEURISTIC = "heuristic"
 class AllocationAlgorithm:
     """A named deterministic allocation rule with its claimed optimality class.
 
-    Auction rules are called with a profile, cost-minimization rules with an
-    instance and a type; the wrapper passes its arguments through unchanged.
+    ``kind`` is ``EXACT``, ``MAXIMAL_IN_RANGE`` or ``HEURISTIC``.  Auction
+    rules come from constructors such as ``optimal_algorithm()`` and are
+    called with a profile; cost-minimization rules (``cmap.CmapAlgorithm``,
+    this same type) are called with a ``GraphCmap`` and a type.  The wrapper
+    passes its arguments through unchanged.
     """
 
     name: str
@@ -338,21 +341,6 @@ def in_range_algorithm(allocation_range: AllocationRange) -> AllocationAlgorithm
     return AllocationAlgorithm(
         "in_range", MAXIMAL_IN_RANGE, lambda p: solve_in_range(p, allocation_range)
     )
-
-
-def make_algorithm(name: str, *, allocation_range: AllocationRange | None = None) -> AllocationAlgorithm:
-    """Resolve an algorithm by its public name."""
-    if name == "optimal":
-        return optimal_algorithm()
-    if name == "single_winner":
-        return single_winner_algorithm()
-    if name == "greedy":
-        return greedy_algorithm()
-    if name == "in_range":
-        if allocation_range is None:
-            raise ValueError("in_range algorithm needs an explicit allocation range")
-        return in_range_algorithm(allocation_range)
-    raise ValueError(f"unknown allocation algorithm {name!r}")
 
 
 def verify_maximal_in_range(

@@ -7,9 +7,11 @@ something honest to be checked against.
 
 import itertools
 import random
+from fractions import Fraction
 
 from mechlab.core import (
     AdditiveValuation,
+    AffineWeights,
     Allocation,
     SingleMindedValuation,
     TableValuation,
@@ -17,6 +19,14 @@ from mechlab.core import (
     XorValuation,
     welfare,
 )
+
+
+def profile_of(*valuations):
+    return TypeProfile(tuple(valuations))
+
+
+def unit_weights(num_agents):
+    return AffineWeights((Fraction(1),) * num_agents)
 
 
 def all_allocations(num_agents, num_items):

@@ -10,7 +10,6 @@ import pytest
 from helpers import brute_cmap_outputs
 from mechlab.cmap import (
     ENUM_EDGE_LIMIT,
-    ExplicitCmap,
     GraphCmap,
     GraphEdge,
     _dijkstra_path,
@@ -19,7 +18,6 @@ from mechlab.cmap import (
     escalate_degeneracy,
     forcing_type,
     heuristic_cmap_algorithm,
-    make_cmap_algorithm,
     optimal_cmap_algorithm,
     solve_cmap_heuristic,
     solve_cmap_optimal,
@@ -97,7 +95,15 @@ def test_cmap_welfare_negates_cost():
 
 
 def test_cmap_welfare_empty_selection_when_allowable():
-    inst = ExplicitCmap(counts=(1, 1), allowable=((0, 0), (1, 1)))
+    # the only terminal is the source, so the empty tree covers it
+    inst = GraphCmap(
+        num_nodes=3,
+        edges=(GraphEdge(0, 1, owner=0, cost=3), GraphEdge(1, 2, owner=1, cost=4)),
+        source=0,
+        terminals=(0,),
+        structure="multicast",
+    )
+    assert inst.outputs() == ((0, 0), (1, 0), (1, 1))
     assert cmap_welfare(inst, ((-3,), (-4,)), (0, 0)) == 0
     assert cmap_welfare(inst, ((-3,), (-4,)), (1, 1)) == -7
 
@@ -127,7 +133,15 @@ def test_optimal_picks_cheap_parallel_edge():
 
 
 def test_optimal_single_allowable_output():
-    inst = ExplicitCmap(counts=(2,), allowable=((1, 0),))
+    # one path, 0 -> 1; the cheaper edge leaves the target
+    inst = GraphCmap(
+        num_nodes=3,
+        edges=(GraphEdge(0, 1, owner=0, cost=9), GraphEdge(1, 2, owner=0, cost=1)),
+        source=0,
+        terminals=(1,),
+        structure="path",
+    )
+    assert inst.outputs() == ((1, 0),)
     assert solve_cmap_optimal(inst, ((-9, -1),)) == (1, 0)
 
 
@@ -215,12 +229,6 @@ def test_heuristic_path_matches_recursive_dfs():
         assert solve_cmap_heuristic(inst, inst.seed_type()) == _first_path_recursive(inst)
 
 
-def test_heuristic_requires_graph_instance():
-    inst = ExplicitCmap(counts=(1,), allowable=((0,), (1,)))
-    with pytest.raises(ValueError):
-        solve_cmap_heuristic(inst, ((-1,),))
-
-
 def test_forcing_type_zero_alpha_zeroes_off_components():
     v = ((-3, -5), (-2,))
     assert forcing_type(v, (1, 0, 0), 0) == ((-3, 0), (0,))
@@ -252,11 +260,13 @@ def test_forcing_type_rejects_negative_alpha():
 
 def test_degeneracy_ratio_zero_for_optimal():
     inst = parallel_edges()
+    assert optimal_cmap_algorithm().kind == "exact"
     assert degeneracy_ratio(inst, optimal_cmap_algorithm(), inst.seed_type()) == 0
 
 
 def test_degeneracy_ratio_parallel_edges():
     inst = parallel_edges()
+    assert heuristic_cmap_algorithm().kind == "heuristic"
     ratio = degeneracy_ratio(inst, heuristic_cmap_algorithm(), inst.seed_type())
     assert ratio == Fraction(1, 2)  # (-1 - (-2)) / (1 + 1)
 
@@ -387,13 +397,6 @@ def test_componentwise_decrease_never_increases_welfare():
         assert cmap_welfare(inst, worse, output) <= cmap_welfare(inst, v, output)
 
 
-def test_make_cmap_algorithm():
-    assert make_cmap_algorithm("optimal").kind == "exact"
-    assert make_cmap_algorithm("heuristic").kind == "heuristic"
-    with pytest.raises(ValueError):
-        make_cmap_algorithm("steiner")
-
-
 @pytest.mark.parametrize("bad_edge", [GraphEdge(1, 7, 0, 1), GraphEdge(-3, 0, 1, 1)])
 def test_edge_endpoints_outside_the_graph_rejected(bad_edge):
     edges = (GraphEdge(0, 1, 0, 1), GraphEdge(0, 1, 1, 1), bad_edge)
@@ -499,9 +502,9 @@ def test_optimal_scores_outputs_like_cmap_welfare(structure):
         v = tuple(tuple(rng.choice((-2, -1, 0, 1)) for _ in range(c)) for c in inst.component_counts)
         expected = min(inst.outputs(), key=lambda x: (-cmap_welfare(inst, v, x), x))
         assert solve_cmap_optimal(inst, v) == expected
-    explicit = ExplicitCmap(counts=(2, 1), allowable=((1, 1, 0), (0, 0, 1), (1, 0, 1), (0, 1, 1)))
-    assert solve_cmap_optimal(explicit, ((-1, -2), (-3,))) == (0, 0, 1)  # tie at -3
-    assert solve_cmap_optimal(explicit, ((-1, 0), (-5,))) == (1, 1, 0)
+    inst = parallel_edges()
+    assert solve_cmap_optimal(inst, ((-3,), (-3,))) == (0, 1)  # tie at -3
+    assert solve_cmap_optimal(inst, ((-1,), (-5,))) == (1, 0)
 
 
 def test_layout_with_interleaved_owners_and_an_edgeless_owner():

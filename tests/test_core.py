@@ -2,11 +2,14 @@
 
 import itertools
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from helpers import profile_of, unit_weights
 
 from mechlab.core import (
     AdditiveValuation,
@@ -16,13 +19,8 @@ from mechlab.core import (
     TableValuation,
     TypeProfile,
     XorValuation,
-    bundle_of,
-    empty_allocation,
     full_bundle,
-    money_to_decimal,
     monotone_closure,
-    profile_of,
-    unit_weights,
     units,
     weighted_welfare,
     welfare,
@@ -58,7 +56,7 @@ def all_allocations(num_agents, num_items):
 
 def test_welfare_single_item_values():
     profile = profile_of(
-        SingleMindedValuation(1, 1, 2_000_000_000),
+        SingleMindedValuation(1, 1, units(2_000)),
         SingleMindedValuation(1, 1, 1_700_000_000),
         SingleMindedValuation(1, 1, 1_000_000_000),
     )
@@ -70,7 +68,7 @@ def test_welfare_empty_allocation_is_zero():
         TableValuation((0, 1, 1, 3)),
         AdditiveValuation((2, 2)),
     )
-    assert welfare(profile, empty_allocation(2)) == 0
+    assert welfare(profile, Allocation((0, 0))) == 0
 
 
 def test_welfare_table_plus_additive():
@@ -91,7 +89,7 @@ def test_welfare_rejects_arity_mismatch():
 def test_welfare_rejects_out_of_universe_allocation():
     profile = profile_of(AdditiveValuation((1, 1)))
     with pytest.raises(ValueError):
-        welfare(profile, Allocation((bundle_of([2]),)))
+        welfare(profile, Allocation((1 << 2,)))
 
 
 def test_weighted_welfare_unit_weights_match_welfare():
@@ -130,6 +128,13 @@ def test_weighted_welfare_rejects_non_positive_weights():
         AffineWeights((Fraction(0), Fraction(1)))
     with pytest.raises(ValueError):
         AffineWeights((Fraction(-1),))
+
+
+def test_affine_weights_reject_non_rational_weights():
+    assert AffineWeights((2, Fraction(1, 2))).num_agents == 2
+    for weights in ((0.5, 1.5), (Fraction(1), Decimal("1.5"))):
+        with pytest.raises(TypeError):
+            AffineWeights(weights)
 
 
 def test_evaluate_single_minded_ignores_partial_bundles():
@@ -292,10 +297,3 @@ def test_profile_replace_rejects_out_of_range_agents():
 def test_profile_rejects_mixed_universes():
     with pytest.raises(ValueError):
         TypeProfile((AdditiveValuation((1,)), AdditiveValuation((1, 2))))
-
-
-def test_money_rendering():
-    assert money_to_decimal(units(2)) == "2.000000"
-    assert money_to_decimal(-1_700_000) == "-1.700000"
-    assert money_to_decimal(1) == "0.000001"
-    assert units(3) == 3_000_000

@@ -4,11 +4,10 @@ import random
 
 import pytest
 
-from helpers import random_profile, random_valuation
+from helpers import profile_of, random_profile, random_valuation
 from mechlab.core import (
     SingleMindedValuation,
     TypeProfile,
-    profile_of,
     welfare,
     zero_valuation,
 )
@@ -23,7 +22,6 @@ from mechlab.second_chance import (
     RevisionFunction,
     StepLimitExceeded,
     StepMeter,
-    TableLookup,
     algorithm_step_cost,
     build_bounded_family_appeal,
     build_feasibly_truthful_appeal,
@@ -94,13 +92,6 @@ def test_replace_profile_is_input_independent():
     assert evaluate_appeal(appeal, VICKREY_PROFILE, 100)[0] == target
     mismatched = ReplaceProfile(single_item_profile(9, 9))
     assert evaluate_appeal(mismatched, VICKREY_PROFILE, 100)[0] is None
-
-
-def test_table_lookup():
-    other = single_item_profile(1, 2, 3)
-    appeal = TableLookup(((VICKREY_PROFILE, other),))
-    assert evaluate_appeal(appeal, VICKREY_PROFILE, 100)[0] == other
-    assert evaluate_appeal(appeal, other, 100)[0] is None
 
 
 def test_best_of_scores_candidates_with_the_algorithm():

@@ -6,7 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import all_allocations, brute_optimal, brute_optimal_welfare, monotone_tables, random_profile
+from helpers import (
+    all_allocations,
+    brute_optimal,
+    brute_optimal_welfare,
+    monotone_tables,
+    profile_of,
+    random_profile,
+    unit_weights,
+)
 from mechlab import wd
 from mechlab.payments import affine_based_payments, clarke_pivot
 from mechlab.core import (
@@ -18,9 +26,6 @@ from mechlab.core import (
     SingleMindedValuation,
     TableValuation,
     TypeProfile,
-    empty_allocation,
-    profile_of,
-    unit_weights,
     units,
     weighted_welfare,
     welfare,
@@ -34,7 +39,6 @@ from mechlab.wd import (
     greedy_algorithm,
     in_range_algorithm,
     iter_partitions,
-    make_algorithm,
     optimal_algorithm,
     profile_from_partition,
     single_winner_algorithm,
@@ -74,7 +78,7 @@ def test_optimal_single_item():
 
 def test_optimal_all_zero_profile_gives_empty_allocation():
     profile = profile_of(AdditiveValuation((0, 0)), AdditiveValuation((0, 0)))
-    assert solve_optimal(profile) == empty_allocation(2)
+    assert solve_optimal(profile) == Allocation((0, 0))
 
 
 def test_optimal_table_additive_instance():
@@ -426,16 +430,9 @@ def test_algorithms_are_deterministic():
     rng = random.Random(3)
     profiles = [random_profile(rng, 3, 3) for _ in range(25)]
     algs = [optimal_algorithm(), single_winner_algorithm(), greedy_algorithm()]
+    assert [(alg.name, alg.kind) for alg in algs] == [
+        ("optimal", "exact"), ("single_winner", "maximal-in-range"), ("greedy", "heuristic")]
     for alg in algs:
         first = [alg(p) for p in profiles]
         second = [alg(p) for p in profiles]
         assert first == second
-
-
-def test_make_algorithm_registry():
-    assert make_algorithm("optimal").name == "optimal"
-    assert make_algorithm("greedy").kind == "heuristic"
-    with pytest.raises(ValueError):
-        make_algorithm("in_range")
-    with pytest.raises(ValueError):
-        make_algorithm("simulated_annealing")
