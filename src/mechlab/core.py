@@ -10,8 +10,9 @@ All types here are immutable values and all operations are pure.
 from __future__ import annotations
 
 import functools
+import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
 from typing import Callable, Iterable
@@ -291,6 +292,15 @@ def welfare(profile: TypeProfile, alloc: Allocation) -> Money:
     return sum(v.value(b) for v, b in zip(profile.valuations, alloc.bundles))
 
 
+def exact_div(numerator: int, denominator: int, what: str) -> Money:
+    """``numerator / denominator`` in micro-units; a remainder raises, never rounds."""
+    quotient, remainder = divmod(numerator, denominator)
+    if remainder:
+        raise ValueError(f"{what} of {Fraction(numerator, denominator)} "
+                         "is not an integer number of micro-units")
+    return quotient
+
+
 @dataclass(frozen=True)
 class AffineWeights:
     """Affine transformation of welfare: a0(alloc) + sum_i a_i * v_i(bundle_i).
@@ -299,10 +309,15 @@ class AffineWeights:
     mechanism's own valuation over allocations (None means identically zero).
     It must be a pure function of the allocation: the exact affine solver
     calls it once per allocation per weights object and reuses the values.
+
+    Derived once, outside equality and hashing: ``scale`` is D, the LCM of the
+    weights' denominators, and ``scaled`` the integers A_i = a_i * D.
     """
 
     agent_weights: tuple[Fraction, ...]
     preference: Callable[[Allocation], Money] | None = None
+    scale: int = field(init=False, repr=False, compare=False)
+    scaled: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.agent_weights:
@@ -311,6 +326,9 @@ class AffineWeights:
             raise TypeError("agent weights must be rationals, such as int or Fraction")
         if any(a <= 0 for a in self.agent_weights):
             raise ValueError("agent weights must be strictly positive")
+        scale = math.lcm(*(a.denominator for a in self.agent_weights))
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "scaled", tuple(int(a * scale) for a in self.agent_weights))
 
     @property
     def num_agents(self) -> int:
@@ -321,17 +339,10 @@ class AffineWeights:
 
 
 def weighted_welfare(weights: AffineWeights, profile: TypeProfile, alloc: Allocation) -> Money:
-    """Exact weighted welfare in micro-units.
-
-    Rational intermediates must land back on integer micro-units; a
-    non-integral total is rejected rather than rounded.
-    """
+    """Exact weighted welfare in micro-units, (D * a0 + sum_i A_i * v_i) / D, or ValueError."""
     if weights.num_agents != profile.num_agents:
         raise ValueError("weight arity does not match the number of agents")
     _check_alloc(profile, alloc)
-    total = Fraction(weights.preference_value(alloc))
-    for a, v, b in zip(weights.agent_weights, profile.valuations, alloc.bundles):
-        total += a * v.value(b)
-    if total.denominator != 1:
-        raise ValueError(f"weighted welfare {total} is not an integer number of micro-units")
-    return int(total)
+    total = weights.scale * weights.preference_value(alloc) + sum(
+        a * v.value(b) for a, v, b in zip(weights.scaled, profile.valuations, alloc.bundles))
+    return exact_div(total, weights.scale, "weighted welfare")

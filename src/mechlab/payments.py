@@ -12,18 +12,10 @@ paths are exposed and cross-checked.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
-from .core import (
-    AffineWeights,
-    Allocation,
-    Money,
-    TypeProfile,
-    Valuation,
-    welfare,
-    zero_valuation,
-)
+from .core import (AffineWeights, Allocation, Money, TypeProfile, Valuation, _check_alloc,
+                   exact_div, welfare, zero_valuation)
 from .wd import AllocationAlgorithm, excluded_optima
 
 
@@ -90,24 +82,37 @@ class MechanismOutcome:
     utilities: tuple[Money, ...]
 
 
+def _affine_outcome(alloc: Allocation, declared: TypeProfile, weights: AffineWeights,
+                    pivot: PivotRule, true_types: TypeProfile) -> MechanismOutcome:
+    """Affine accounting at ``alloc``: p_i = (sum_{j != i} A_j * w_j + D * h_i) / A_i.
+
+    D and A_j = a_j * D are ``weights.scale`` and ``weights.scaled``; pivots run
+    in agent order, and utilities are accounted against ``true_types``.
+    """
+    if weights.num_agents != declared.num_agents:
+        raise ValueError("weight arity does not match the number of agents")
+    if true_types.num_agents != declared.num_agents:
+        raise ValueError("true-type arity does not match declarations")
+    _check_alloc(declared, alloc)
+    own = [a * v.value(b) for a, v, b in zip(weights.scaled, declared.valuations, alloc.bundles)]
+    total = sum(own)
+    payments = tuple(exact_div(total - own[i] + weights.scale * pivot(i, declared),
+                               weights.scaled[i], f"payment to agent {i}")
+                     for i in range(declared.num_agents))
+    utilities = tuple(
+        v.value(b) + p for v, b, p in zip(true_types.valuations, alloc.bundles, payments))
+    return MechanismOutcome(alloc, payments, utilities)
+
+
 def vcg_outcome(
     alloc: Allocation, declared: TypeProfile, pivot: PivotRule, true_types: TypeProfile
 ) -> MechanismOutcome:
-    """VCG accounting at a chosen allocation.
+    """VCG accounting at ``alloc``, the unit-weight affine case.
 
-    p_i is the sum of the others' declared values at ``alloc`` plus the pivot
-    term, with pivots evaluated in agent order; utilities are accounted
-    against ``true_types``.
+    p_i is the sum of the others' declared values plus the pivot term.
     """
-    if true_types.num_agents != declared.num_agents:
-        raise ValueError("true-type arity does not match declarations")
-    own = [v.value(b) for v, b in zip(declared.valuations, alloc.bundles)]
-    total = sum(own)
-    payments = tuple(total - own[i] + pivot(i, declared) for i in range(declared.num_agents))
-    utilities = tuple(
-        v.value(b) + p for v, b, p in zip(true_types.valuations, alloc.bundles, payments)
-    )
-    return MechanismOutcome(alloc, payments, utilities)
+    unit = AffineWeights((1,) * declared.num_agents)
+    return _affine_outcome(alloc, declared, unit, pivot, true_types)
 
 
 def affine_based_payments(
@@ -116,28 +121,13 @@ def affine_based_payments(
     weights: AffineWeights,
     pivot: PivotRule,
 ) -> tuple[Money, ...]:
-    """p_i = (sum_{j != i} a_j * w_j(alg(w)) + h_i) / a_i, exactly.
+    """p_i = (sum_{j != i} a_j * w_j(alg(w)) + h_i) / a_i, exactly, or ValueError.
 
-    The mechanism's own preference term participates only in allocation
-    choice, never in payments.  A division that leaves the integer
-    micro-unit grid is rejected.
+    The preference term γ is left out, a truthfulness defect (ROADMAP item 6:
+    the Roberts payment adds γ(alg(w))); fixing it re-records the
+    ``affine_enum`` digests.
     """
-    if weights.num_agents != declared.num_agents:
-        raise ValueError("weight arity does not match the number of agents")
-    alloc = alg(declared)
-    payments = []
-    for i in range(declared.num_agents):
-        total = Fraction(pivot(i, declared))
-        for j in range(declared.num_agents):
-            if j != i:
-                total += weights.agent_weights[j] * declared[j].value(alloc.bundles[j])
-        share = total / weights.agent_weights[i]
-        if share.denominator != 1:
-            raise ValueError(
-                f"payment for agent {i} is {share} micro-units; weights do not divide exactly"
-            )
-        payments.append(int(share))
-    return tuple(payments)
+    return _affine_outcome(alg(declared), declared, weights, pivot, declared).payments
 
 
 def utility_of(
@@ -147,15 +137,13 @@ def utility_of(
     alg: AllocationAlgorithm,
     pivot: PivotRule,
 ) -> Money:
-    """Agent utility via the welfare identity.
+    """Agent utility via the welfare identity, the unit-weight :func:`affine_utility_of`.
 
-    Equals the total welfare of alg(w) measured with the agent's true
-    valuation in place of its declaration, plus the pivot term; always
-    identical to value-plus-payment computed directly.
+    The welfare of alg(w) with the agent's true valuation in place of its
+    declaration, plus the pivot term: value-plus-payment, computed apart.
     """
-    belief = declared.replace(agent, true_valuation)
-    alloc = alg(declared)
-    return welfare(belief, alloc) + pivot(agent, declared)
+    unit = AffineWeights((1,) * declared.num_agents)
+    return affine_utility_of(true_valuation, agent, declared, alg, unit, pivot)
 
 
 def affine_utility_of(
@@ -166,20 +154,19 @@ def affine_utility_of(
     weights: AffineWeights,
     pivot: PivotRule,
 ) -> Money:
-    """Affine analogue of :func:`utility_of`: (sum_j a_j * value_j + h_i) / a_i.
+    """Affine analogue of :func:`utility_of`: (sum_j A_j * value_j + D * h_i) / A_i.
 
-    The sum runs over agents only (true valuation substituted for agent i);
-    the mechanism's preference term does not enter utilities.
+    Agent i's true valuation replaces its declaration, and payments are never
+    read, so this cross-checks them.  It leaves out γ as well (ROADMAP item 6).
     """
+    if weights.num_agents != declared.num_agents:
+        raise ValueError("weight arity does not match the number of agents")
     belief = declared.replace(agent, true_valuation)
     alloc = alg(declared)
-    total = Fraction(pivot(agent, declared))
-    for j in range(declared.num_agents):
-        total += weights.agent_weights[j] * belief[j].value(alloc.bundles[j])
-    share = total / weights.agent_weights[agent]
-    if share.denominator != 1:
-        raise ValueError(f"utility {share} is not an integer number of micro-units")
-    return int(share)
+    _check_alloc(belief, alloc)
+    total = weights.scale * pivot(agent, declared) + sum(
+        a * v.value(b) for a, v, b in zip(weights.scaled, belief.valuations, alloc.bundles))
+    return exact_div(total, weights.scaled[agent], "utility")
 
 
 def run_vcg_based(

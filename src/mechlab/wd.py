@@ -13,7 +13,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import add, attrgetter
 from typing import Callable, Iterable, Sequence
 
@@ -26,6 +25,7 @@ from .core import (
     Money,
     SingleMindedValuation,
     TypeProfile,
+    exact_div,
     full_bundle,
     units,
     value_table,
@@ -250,8 +250,8 @@ def solve_in_range(profile: TypeProfile, allocation_range: AllocationRange) -> A
 _last_preference_pass: tuple = (None, 0, 0, None)
 
 
-def _preference_pass(weights: AffineWeights, n: int, m: int, scale: int) -> tuple[list, list, list]:
-    """Every allocation, agent i's bundle in each as column i, and preference * scale in each."""
+def _preference_pass(weights: AffineWeights, n: int, m: int) -> tuple[list, list, list]:
+    """Every allocation, agent i's bundle in each as column i, and preference * D in each."""
     global _last_preference_pass
     held, held_n, held_m, scored = _last_preference_pass
     if held is weights and held_n == n and held_m == m:
@@ -265,23 +265,18 @@ def _preference_pass(weights: AffineWeights, n: int, m: int, scale: int) -> tupl
 
     allocations = list(map(allocation, itertools.product(range(n + 1), repeat=m)))
     columns = list(zip(*(a.bundles for a in allocations)))
-    scored = allocations, columns, [weights.preference(a) * scale for a in allocations]
+    scored = allocations, columns, [weights.preference(a) * weights.scale for a in allocations]
     _last_preference_pass = weights, n, m, scored
     return scored
-
-
-def _off_grid(total, scale: int) -> ValueError:
-    return ValueError(
-        f"weighted welfare {Fraction(total) / scale} is not an integer number of micro-units")
 
 
 def solve_optimal_weighted(weights: AffineWeights, profile: TypeProfile) -> Allocation:
     """Weighted-welfare-maximizing allocation, in exact integers.
 
-    With D the LCM of the weights' denominators, agent i's value table times
-    a_i * D is integral, and each allocation's total over these tables is D
-    times its weighted welfare, so they rank allocations exactly.  Without a
-    preference, ``solve_optimal``'s subset DP maximizes them in
+    With D = ``weights.scale``, agent i's value table times A_i = a_i * D
+    (``weights.scaled``) is integral, and each allocation's total over these
+    tables is D times its weighted welfare, so they rank allocations exactly.
+    Without a preference, ``solve_optimal``'s subset DP maximizes them in
     O((n-1) * 3**m).  With one, every one of the (n+1)**m allocations is
     scored, and the preference is called once per allocation per weights
     object (see ``AffineWeights``).  Either way ties break to the
@@ -298,23 +293,22 @@ def solve_optimal_weighted(weights: AffineWeights, profile: TypeProfile) -> Allo
                                   f"{(n + 1) ** m} allocations, budget is {DEFAULT_WD_BUDGET}")
     if weights.num_agents != n:
         raise ValueError("weight arity does not match the number of agents")
-    scale = math.lcm(*(a.denominator for a in weights.agent_weights))
-    tables = tuple(
-        tuple(x * (a.numerator * (scale // a.denominator)) for x in value_table(v))
-        for a, v in zip(weights.agent_weights, profile.valuations)
-    )
+    scale = weights.scale
+    tables = tuple(tuple(x * a for x in value_table(v))
+                   for a, v in zip(weights.scaled, profile.valuations))
+    # one inline remainder test per entry, since a call each would cost more; exact_div raises
     if weights.preference is None:
         # value(empty) = 0, so some total is off the grid iff some single term is
         for entry in itertools.chain.from_iterable(tables):
             if entry % scale:
-                raise _off_grid(entry, scale)
+                exact_div(entry, scale, "weighted welfare")
         return _smallest_optimum(tables, 1 << m)
-    allocations, columns, totals = _preference_pass(weights, n, m, scale)
+    allocations, columns, totals = _preference_pass(weights, n, m)
     for table, column in zip(tables, columns):
         totals = list(map(add, totals, map(table.__getitem__, column)))
     for total in totals:
         if total % scale:
-            raise _off_grid(total, scale)
+            exact_div(total, scale, "weighted welfare")
     best = max(totals)
     return min((a for a, total in zip(allocations, totals) if total == best),
                key=attrgetter("bundles"))

@@ -21,6 +21,46 @@ from mechlab.core import (
 )
 
 
+def reference_weighted_welfare(weights, profile, alloc):
+    """Weighted welfare with ``Fraction`` arithmetic, the library's accounting before scaling."""
+    assert weights.num_agents == profile.num_agents and alloc.num_agents == profile.num_agents
+    total = Fraction(weights.preference_value(alloc))
+    for a, v, b in zip(weights.agent_weights, profile.valuations, alloc.bundles):
+        total += a * v.value(b)
+    if total.denominator != 1:
+        raise ValueError(f"weighted welfare {total} is not an integer number of micro-units")
+    return int(total)
+
+
+def reference_affine_payments(alg, declared, weights, pivot):
+    """p_i = (sum_{j != i} a_j * w_j(alg(w)) + h_i) / a_i with ``Fraction`` arithmetic."""
+    alloc = alg(declared)
+    payments = []
+    for i in range(declared.num_agents):
+        total = Fraction(pivot(i, declared))
+        for j in range(declared.num_agents):
+            if j != i:
+                total += weights.agent_weights[j] * declared[j].value(alloc.bundles[j])
+        share = total / weights.agent_weights[i]
+        if share.denominator != 1:
+            raise ValueError(f"payment for agent {i} is {share} micro-units")
+        payments.append(int(share))
+    return tuple(payments)
+
+
+def reference_affine_utility(true_valuation, agent, declared, alg, weights, pivot):
+    """(sum_j a_j * value_j + h_i) / a_i with ``Fraction`` arithmetic, true type for agent i."""
+    belief = declared.replace(agent, true_valuation)
+    alloc = alg(declared)
+    total = Fraction(pivot(agent, declared))
+    for j in range(declared.num_agents):
+        total += weights.agent_weights[j] * belief[j].value(alloc.bundles[j])
+    share = total / weights.agent_weights[agent]
+    if share.denominator != 1:
+        raise ValueError(f"utility {share} is not an integer number of micro-units")
+    return int(share)
+
+
 def profile_of(*valuations):
     return TypeProfile(tuple(valuations))
 

@@ -137,6 +137,14 @@ def test_affine_weights_reject_non_rational_weights():
             AffineWeights(weights)
 
 
+def test_affine_weights_derive_their_integer_scale_outside_equality():
+    weights = AffineWeights((Fraction(3, 2), 2, Fraction(2, 3)))
+    assert (weights.scale, weights.scaled) == (6, (9, 12, 4))
+    same = AffineWeights((Fraction(3, 2), Fraction(2), Fraction(2, 3)))
+    assert same == weights and hash(same) == hash(weights)
+    assert "scale" not in repr(weights)
+
+
 def test_evaluate_single_minded_ignores_partial_bundles():
     v = SingleMindedValuation(2, AB, 3)
     assert v.value(A) == 0

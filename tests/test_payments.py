@@ -8,7 +8,18 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import brute_optimal, monotone_tables, profile_of, random_profile, unit_weights
+from helpers import (
+    all_allocations,
+    brute_optimal,
+    monotone_tables,
+    profile_of,
+    random_profile,
+    random_valuation,
+    reference_affine_payments,
+    reference_affine_utility,
+    reference_weighted_welfare,
+    unit_weights,
+)
 from mechlab import wd
 from mechlab.core import (
     AdditiveValuation,
@@ -18,6 +29,7 @@ from mechlab.core import (
     SingleMindedValuation,
     TypeProfile,
     full_bundle,
+    weighted_welfare,
     zero_valuation,
 )
 from mechlab.payments import (
@@ -325,6 +337,62 @@ def test_affine_utility_identity_with_divisible_values():
             true_v = AdditiveValuation(tuple(6 * rng.randint(0, 5) for _ in range(m)))
             direct = true_v.value(alloc.bundles[i]) + payments[i]
             assert affine_utility_of(true_v, i, declared, alg, weights, zero_pivot()) == direct
+
+
+@pytest.mark.parametrize("bundles", [(0, 0, 3), (1,)])
+def test_accounting_rejects_allocations_for_another_agent_count(bundles):
+    profile = profile_of(AdditiveValuation((4, 5)), AdditiveValuation((2, 7)))
+    alg = AllocationAlgorithm("fixed", wd.HEURISTIC, lambda p: Allocation(bundles))
+    with pytest.raises(ValueError, match="allocation covers"):
+        run_vcg_based(alg, profile, zero_pivot(), profile)
+    with pytest.raises(ValueError, match="allocation covers"):
+        affine_based_payments(alg, profile, unit_weights(2), zero_pivot())
+    with pytest.raises(ValueError, match="allocation covers"):
+        affine_utility_of(profile[0], 0, profile, alg, unit_weights(2), zero_pivot())
+
+
+def test_affine_utility_rejects_weights_for_another_agent_count():
+    profile = profile_of(AdditiveValuation((4,)), AdditiveValuation((2,)))
+    for weights in (AffineWeights((1, 1, 1)), AffineWeights((1,))):
+        with pytest.raises(ValueError, match="weight arity"):
+            affine_utility_of(profile[0], 0, profile, optimal_algorithm(), weights, zero_pivot())
+
+
+def _value_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError:
+        return ValueError
+
+
+def test_integer_accounting_matches_fraction_reference():
+    """Integer affine accounting equals the ``Fraction`` formulas, rejections included."""
+    rng = random.Random(1110)
+    choices = tuple(map(Fraction, (1, 2, 3, "1/2", "2/3", "3/2")))
+    agreed = {"value": 0, "error": 0}
+    kinds = set()
+    for k in range(300):
+        n, m = rng.randint(1, 3), rng.randint(1, 3)
+        declared = random_profile(rng, n, m)
+        kinds.update(type(v) for v in declared.valuations)
+        bonus = rng.randint(1, 9)
+        preference = (lambda a, bonus=bonus: bonus * (a.bundles[-1] & 1)) if k % 2 else None
+        weights = AffineWeights(tuple(rng.choice(choices) for _ in range(n)), preference)
+        alg = affine_optimal_algorithm(weights) if k // 2 % 2 else optimal_algorithm()
+        pairs = [(weighted_welfare, reference_weighted_welfare, (weights, declared, a))
+                 for a in all_allocations(n, m)]
+        for pivot in (zero_pivot(), clarke_pivot(alg), make_pivot("clarke_exact")):
+            pairs.append((affine_based_payments, reference_affine_payments,
+                          (alg, declared, weights, pivot)))
+            pairs.extend((affine_utility_of, reference_affine_utility,
+                          (random_valuation(rng, m), i, declared, alg, weights, pivot))
+                         for i in range(n))
+        for fn, reference, args in pairs:
+            got = _value_or_error(fn, *args)
+            assert got == _value_or_error(reference, *args), (fn.__name__, k, args)
+            agreed["error" if got is ValueError else "value"] += 1
+    assert len(kinds) == 4
+    assert min(agreed.values()) > 1000, agreed
 
 
 def assert_grid_truthful(alg, pivot, grid_valuations):
