@@ -124,12 +124,14 @@ class GraphCmap:
     def num_agents(self) -> int:
         return len(self._counts)
 
-    def check_type(self, v: CmapType) -> None:
+    def check_type(self, v: CmapType) -> list[Money]:
+        """The type's component values in the flat output layout, or ValueError."""
         if len(v) != self.num_agents:
             raise ValueError(f"type covers {len(v)} agents, instance has {self.num_agents}")
         for i, (vec, count) in enumerate(zip(v, self._counts)):
             if len(vec) != count:
                 raise ValueError(f"agent {i} type has {len(vec)} components, expected {count}")
+        return [value for vec in v for value in vec]
 
     def output_from_edges(self, edge_positions: Iterable[int]) -> CmapOutput:
         bits = [0] * len(self.edges)
@@ -237,10 +239,9 @@ CmapAlgorithm = AllocationAlgorithm
 
 def cmap_welfare(instance: GraphCmap, v: CmapType, output: CmapOutput) -> Money:
     """Sum of selected component values (negated total cost), exact."""
-    instance.check_type(v)
+    flat = instance.check_type(v)
     if not instance.is_allowable(output):
         raise ValueError(f"output {output} is not allowable for this instance")
-    flat = [value for vec in v for value in vec]
     return sum(value for value, bit in zip(flat, output) if bit)
 
 
@@ -254,7 +255,7 @@ def _dijkstra_path(instance: GraphCmap, v: CmapType) -> CmapOutput:
     exactly as the tuple does; it becomes a tuple once, at the target.
     Requires all component values <= 0 (non-negative costs).
     """
-    flat = [value for vec in v for value in vec]
+    flat = instance.check_type(v)
     if any(value > 0 for value in flat):
         raise ValueError("label-setting requires non-positive component values")
     target = instance.terminals[0]
@@ -284,11 +285,10 @@ def solve_cmap_optimal(instance: GraphCmap, v: CmapType) -> CmapOutput:
     instances fall back to exact label-setting, and larger multicast
     instances raise ``BudgetExceededError`` from ``outputs``.
     """
-    instance.check_type(v)
     if len(instance.edges) > ENUM_EDGE_LIMIT and instance.structure == PATH:
         return _dijkstra_path(instance, v)
+    flat = instance.check_type(v)
     # outputs() yields allowable outputs only, so each is scored by a dot product
-    flat = [value for vec in v for value in vec]
     return min(instance.outputs(), key=lambda x: (-sum(map(mul, flat, x)), x))
 
 

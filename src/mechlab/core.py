@@ -15,7 +15,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 Money = int
 Bundle = int
@@ -97,10 +97,10 @@ class TableValuation(Valuation):
             raise ValueError("empty bundle must have value 0")
         if any(v < 0 for v in self.values):
             raise ValueError("bundle values must be non-negative")
-        for mask in range(1, n):
-            for j in range(mask.bit_length()):
-                if mask >> j & 1 and self.values[mask] < self.values[mask ^ (1 << j)]:
-                    raise ValueError(f"table violates free disposal at bundle {mask:#x}")
+        # the first mask the closure lifts is the first with a larger one-item-smaller subset
+        for mask, (value, closed) in enumerate(zip(self.values, _closure(self.values))):
+            if value != closed:
+                raise ValueError(f"table violates free disposal at bundle {mask:#x}")
 
     @property
     def num_items(self) -> int:
@@ -181,6 +181,16 @@ class SingleMindedValuation(XorValuation):
         super().__init__(items, ((desired_bundle, desired_value),) if desired_bundle else ())
 
 
+def _closure(table: Sequence[Money]) -> list[Money]:
+    """closed(s) = max over t <= s of table(t), from each mask's one-item-smaller subsets."""
+    closed = list(table)
+    for mask in range(1, len(closed)):
+        for j in range(mask.bit_length()):
+            if mask >> j & 1 and closed[mask ^ (1 << j)] > closed[mask]:
+                closed[mask] = closed[mask ^ (1 << j)]
+    return closed
+
+
 def monotone_closure(raw_table: Iterable[Money]) -> TableValuation:
     """Monotone-close a raw 2**m value table into a valid valuation.
 
@@ -189,20 +199,10 @@ def monotone_closure(raw_table: Iterable[Money]) -> TableValuation:
     tables.  Rejects negative entries and a non-zero empty-bundle entry.
     """
     raw = tuple(raw_table)
-    n = len(raw)
-    if n < 2 or n & (n - 1):
-        raise ValueError(f"table length must be a power of two >= 2, got {n}")
-    if raw[0] != 0:
-        raise ValueError("empty bundle must have value 0")
+    # checked before closing, which could lift a negative entry; TableValuation checks the rest
     if any(v < 0 for v in raw):
         raise ValueError("bundle values must be non-negative")
-    m = n.bit_length() - 1
-    closed = list(raw)
-    for mask in range(1, n):
-        for j in range(m):
-            if mask >> j & 1 and closed[mask ^ (1 << j)] > closed[mask]:
-                closed[mask] = closed[mask ^ (1 << j)]
-    return TableValuation(tuple(closed))
+    return TableValuation(tuple(_closure(raw)))
 
 
 def zero_valuation(num_items: int) -> Valuation:
@@ -308,7 +308,8 @@ class AffineWeights:
     ``agent_weights`` are strictly positive rationals; ``preference`` is the
     mechanism's own valuation over allocations (None means identically zero).
     It must be a pure function of the allocation: the exact affine solver
-    calls it once per allocation per weights object and reuses the values.
+    calls it once per allocation, reusing the values only while the same
+    weights object is solved repeatedly.
 
     Derived once, outside equality and hashing: ``scale`` is D, the LCM of the
     weights' denominators, and ``scaled`` the integers A_i = a_i * D.
@@ -338,11 +339,16 @@ class AffineWeights:
         return 0 if self.preference is None else self.preference(alloc)
 
 
-def weighted_welfare(weights: AffineWeights, profile: TypeProfile, alloc: Allocation) -> Money:
-    """Exact weighted welfare in micro-units, (D * a0 + sum_i A_i * v_i) / D, or ValueError."""
+def _scaled_values(weights: AffineWeights, profile: TypeProfile, alloc: Allocation) -> list[Money]:
+    """The affine terms [A_i * v_i(bundle_i)] of ``alloc`` under ``profile``, or ValueError."""
     if weights.num_agents != profile.num_agents:
         raise ValueError("weight arity does not match the number of agents")
     _check_alloc(profile, alloc)
-    total = weights.scale * weights.preference_value(alloc) + sum(
-        a * v.value(b) for a, v, b in zip(weights.scaled, profile.valuations, alloc.bundles))
+    return [a * v.value(b) for a, v, b in zip(weights.scaled, profile.valuations, alloc.bundles)]
+
+
+def weighted_welfare(weights: AffineWeights, profile: TypeProfile, alloc: Allocation) -> Money:
+    """Exact weighted welfare in micro-units, (D * a0 + sum_i A_i * v_i) / D, or ValueError."""
+    terms = _scaled_values(weights, profile, alloc)
+    total = weights.scale * weights.preference_value(alloc) + sum(terms)
     return exact_div(total, weights.scale, "weighted welfare")

@@ -11,10 +11,11 @@ paths are exposed and cross-checked.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import (AffineWeights, Allocation, Money, TypeProfile, Valuation, _check_alloc,
+from .core import (AffineWeights, Allocation, Money, TypeProfile, Valuation, _scaled_values,
                    exact_div, welfare, zero_valuation)
 from .wd import AllocationAlgorithm, excluded_optima
 
@@ -73,6 +74,11 @@ def make_pivot(name: str) -> PivotRule:
     raise ValueError(f"unknown pivot rule {name!r}")
 
 
+@functools.cache
+def _unit_weights(num_agents: int) -> AffineWeights:
+    return AffineWeights((1,) * num_agents)
+
+
 @dataclass(frozen=True)
 class MechanismOutcome:
     """Chosen allocation, mechanism-to-agent payments, and true-type utilities."""
@@ -89,12 +95,9 @@ def _affine_outcome(alloc: Allocation, declared: TypeProfile, weights: AffineWei
     D and A_j = a_j * D are ``weights.scale`` and ``weights.scaled``; pivots run
     in agent order, and utilities are accounted against ``true_types``.
     """
-    if weights.num_agents != declared.num_agents:
-        raise ValueError("weight arity does not match the number of agents")
+    own = _scaled_values(weights, declared, alloc)
     if true_types.num_agents != declared.num_agents:
         raise ValueError("true-type arity does not match declarations")
-    _check_alloc(declared, alloc)
-    own = [a * v.value(b) for a, v, b in zip(weights.scaled, declared.valuations, alloc.bundles)]
     total = sum(own)
     payments = tuple(exact_div(total - own[i] + weights.scale * pivot(i, declared),
                                weights.scaled[i], f"payment to agent {i}")
@@ -111,8 +114,7 @@ def vcg_outcome(
 
     p_i is the sum of the others' declared values plus the pivot term.
     """
-    unit = AffineWeights((1,) * declared.num_agents)
-    return _affine_outcome(alloc, declared, unit, pivot, true_types)
+    return _affine_outcome(alloc, declared, _unit_weights(declared.num_agents), pivot, true_types)
 
 
 def affine_based_payments(
@@ -142,8 +144,8 @@ def utility_of(
     The welfare of alg(w) with the agent's true valuation in place of its
     declaration, plus the pivot term: value-plus-payment, computed apart.
     """
-    unit = AffineWeights((1,) * declared.num_agents)
-    return affine_utility_of(true_valuation, agent, declared, alg, unit, pivot)
+    return affine_utility_of(true_valuation, agent, declared, alg,
+                             _unit_weights(declared.num_agents), pivot)
 
 
 def affine_utility_of(
@@ -159,13 +161,9 @@ def affine_utility_of(
     Agent i's true valuation replaces its declaration, and payments are never
     read, so this cross-checks them.  It leaves out γ as well (ROADMAP item 6).
     """
-    if weights.num_agents != declared.num_agents:
-        raise ValueError("weight arity does not match the number of agents")
     belief = declared.replace(agent, true_valuation)
-    alloc = alg(declared)
-    _check_alloc(belief, alloc)
-    total = weights.scale * pivot(agent, declared) + sum(
-        a * v.value(b) for a, v, b in zip(weights.scaled, belief.valuations, alloc.bundles))
+    terms = _scaled_values(weights, belief, alg(declared))
+    total = weights.scale * pivot(agent, declared) + sum(terms)
     return exact_div(total, weights.scaled[agent], "utility")
 
 

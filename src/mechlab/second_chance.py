@@ -117,29 +117,6 @@ def _best_suggestion(
     )
 
 
-def _simulate(declared: TypeProfile, base: TypeProfile, family: Iterable[Appeal], agent: int,
-              true_valuation: Valuation, alg: AllocationAlgorithm,
-              meter: StepMeter) -> TypeProfile | None:
-    """The simulation appeals' shared step: the best of ``base`` and its family suggestions."""
-    belief = declared.replace(agent, true_valuation)
-    suggestions = chain((base,), (tau.transform(base, meter) for tau in family))
-    return _best_suggestion(suggestions, declared, alg, belief, meter)
-
-
-@dataclass(frozen=True)
-class Decline(Appeal):
-    """The empty appeal: declines on every input."""
-
-    def transform(self, profile: TypeProfile, meter: StepMeter) -> TypeProfile | None:
-        return None
-
-    def step_bound(self, num_agents: int) -> int:
-        return 0
-
-
-DECLINE = Decline()
-
-
 @dataclass(frozen=True)
 class ReplaceOwn(Appeal):
     """Swap one agent's declaration for a fixed alternative."""
@@ -219,6 +196,10 @@ class Composed(Appeal):
 
     def step_bound(self, num_agents: int) -> int:
         return self.bound_fn(num_agents)
+
+
+# The empty appeal: declines on every input, at no cost.
+DECLINE = Composed(lambda profile, meter: None, lambda num_agents: 0)
 
 
 @dataclass(frozen=True)
@@ -351,7 +332,8 @@ def build_feasibly_truthful_appeal(
         if entry is None:
             return None
         revised = declared.replace(agent, entry.declaration)
-        return _simulate(declared, revised, (entry.appeal,), agent, true_valuation, alg, meter)
+        belief = declared.replace(agent, true_valuation)
+        return BestOf((ReplaceProfile(revised), entry.appeal), belief, alg).transform(revised, meter)
 
     def bound(n: int) -> int:
         tau_bound = max((value.appeal.step_bound(n) for _, value in revision.entries), default=0)
@@ -379,7 +361,8 @@ def build_bounded_family_appeal(
     family = revision.appeal_family()
 
     def fn(declared: TypeProfile, meter: StepMeter) -> TypeProfile | None:
-        return _simulate(declared, declared, family, agent, true_valuation, alg, meter)
+        belief = declared.replace(agent, true_valuation)
+        return BestOf((ReplaceProfile(declared),) + family, belief, alg).transform(declared, meter)
 
     def bound(n: int) -> int:
         return (len(family) + 1) * algorithm_step_cost(n) + sum(tau.step_bound(n) for tau in family)

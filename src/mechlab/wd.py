@@ -1,10 +1,11 @@
 """Winner-determination algorithms (exact and suboptimal) and range analysis.
 
 All algorithms are deterministic pure maps from a type profile to a valid
-allocation.  Ties are always broken by the lexicographically smallest
-allocation encoding: compare agent 0's bundle mask first, then agent 1's,
-and so on.  Determinism is load-bearing: the strategic analysis in the
-rest of the package replays allocations and compares them bit-exactly.
+allocation.  Ties go to the lexicographically smallest allocation encoding
+(agent 0's bundle mask first, then agent 1's, and so on), except in
+``solve_single_winner`` (lowest agent index) and ``solve_greedy`` (its
+density order).  Determinism is load-bearing: the strategic analysis in
+the rest of the package replays allocations and compares them bit-exactly.
 """
 
 from __future__ import annotations
@@ -278,8 +279,8 @@ def solve_optimal_weighted(weights: AffineWeights, profile: TypeProfile) -> Allo
     tables is D times its weighted welfare, so they rank allocations exactly.
     Without a preference, ``solve_optimal``'s subset DP maximizes them in
     O((n-1) * 3**m).  With one, every one of the (n+1)**m allocations is
-    scored, and the preference is called once per allocation per weights
-    object (see ``AffineWeights``).  Either way ties break to the
+    scored, with preference values reused while the same weights object is
+    solved repeatedly (see ``AffineWeights``).  Either way ties break to the
     lexicographically smallest encoding, and the (n+1)**m budget applies.
 
     Raises:
@@ -348,12 +349,7 @@ def verify_maximal_in_range(
     """
     profiles = list(profiles)
     outputs = [alg(p) for p in profiles]
-    realized: list[Allocation] = []
-    seen = set()
-    for out in outputs:
-        if out.bundles not in seen:
-            seen.add(out.bundles)
-            realized.append(out)
+    realized = dict.fromkeys(outputs)
     for profile, out in zip(profiles, outputs):
         achieved = welfare(profile, out)
         for candidate in realized:

@@ -289,6 +289,12 @@ def test_preference_read_once_per_allocation_per_weights_object():
         alg = affine_optimal_algorithm(weights)
         affine_based_payments(alg, profile, weights, clarke_pivot(alg))  # three solves
         assert preference.calls == 3 ** 3  # (n+1)**m allocations, once each
+    # only the last weights object's values are kept, so interleaving reads each object again
+    first, second = (AffineWeights((Fraction(1), Fraction(1)), CountingPreference())
+                     for _ in range(2))
+    for weights in (first, second, first, second):
+        solve_optimal_weighted(weights, profile)
+    assert first.preference.calls == second.preference.calls == 2 * 3 ** 3
 
 
 class UnhashablePreference:
