@@ -19,7 +19,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Collection, Iterable, Sequence
 
-from .core import BudgetExceededError, Money
+from .core import BudgetExceededError, Money, _check_money
 from .wd import EXACT, HEURISTIC, AllocationAlgorithm
 
 CmapType = tuple[tuple[Money, ...], ...]
@@ -28,7 +28,8 @@ CmapOutput = tuple[int, ...]
 MULTICAST = "multicast"
 PATH = "path"
 
-# Enumeration cap: graph instances beyond this many edges need label-setting.
+# Enumeration cap: beyond this many edges, path instances are solved by
+# label-setting and multicast instances raise BudgetExceededError.
 ENUM_EDGE_LIMIT = 12
 
 
@@ -42,6 +43,7 @@ class GraphEdge:
     def __post_init__(self) -> None:
         if self.owner < 0:
             raise ValueError("edge owner must be a non-negative agent index")
+        _check_money((self.cost,))
 
 
 @dataclass(frozen=True)
@@ -318,19 +320,11 @@ def heuristic_cmap_algorithm() -> CmapAlgorithm:
 
 def forcing_type(v: CmapType, output: CmapOutput, alpha: Money) -> CmapType:
     """Pin the components selected by ``output``; price everything else at -alpha."""
-    if alpha < 0:
-        raise ValueError("alpha must be non-negative")
-    flat = [value for vec in v for value in vec]
-    if len(flat) != len(output):
+    _check_money((alpha,), "alpha must be non-negative")
+    if sum(map(len, v)) != len(output):
         raise ValueError("output length does not match the type's component count")
-    forced = []
-    at = 0
-    for vec in v:
-        forced.append(tuple(
-            value if output[at + j] else -alpha for j, value in enumerate(vec)
-        ))
-        at += len(vec)
-    return tuple(forced)
+    bits = iter(output)
+    return tuple(tuple(value if next(bits) else -alpha for value in vec) for vec in v)
 
 
 def degeneracy_ratio(instance: GraphCmap, alg: CmapAlgorithm, v: CmapType) -> Fraction:

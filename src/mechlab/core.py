@@ -43,6 +43,15 @@ def _check_universe(num_items: int) -> None:
         raise ValueError(f"item count must be in 1..{MAX_ITEMS}, got {num_items}")
 
 
+def _check_money(amounts: Iterable[object], negative: str = "") -> None:
+    """TypeError unless every amount is an int; ValueError(``negative``), if given, on one < 0."""
+    for amount in amounts:
+        if not isinstance(amount, int):
+            raise TypeError(f"money must be an int number of micro-units, got {amount!r}")
+        if negative and amount < 0:
+            raise ValueError(negative)
+
+
 class Valuation(ABC):
     """A monotone, normalized bundle-value map over subsets of the item universe.
 
@@ -95,8 +104,7 @@ class TableValuation(Valuation):
         _check_universe(self.num_items)
         if self.values[0] != 0:
             raise ValueError("empty bundle must have value 0")
-        if any(v < 0 for v in self.values):
-            raise ValueError("bundle values must be non-negative")
+        _check_money(self.values, "bundle values must be non-negative")
         # the first mask the closure lifts is the first with a larger one-item-smaller subset
         for mask, (value, closed) in enumerate(zip(self.values, _closure(self.values))):
             if value != closed:
@@ -122,8 +130,7 @@ class AdditiveValuation(Valuation):
 
     def __post_init__(self) -> None:
         _check_universe(len(self.item_values))
-        if any(v < 0 for v in self.item_values):
-            raise ValueError("item values must be non-negative")
+        _check_money(self.item_values, "item values must be non-negative")
 
     @property
     def num_items(self) -> int:
@@ -146,11 +153,9 @@ class XorValuation(Valuation):
 
     def __post_init__(self) -> None:
         _check_universe(self.items)
-        for bundle, val in self.bids:
-            if bundle <= 0 or bundle >> self.items:
-                raise ValueError("atomic bids must be on non-empty bundles within the universe")
-            if val < 0:
-                raise ValueError("bid values must be non-negative")
+        if any(bundle <= 0 or bundle >> self.items for bundle, _ in self.bids):
+            raise ValueError("atomic bids must be on non-empty bundles within the universe")
+        _check_money((val for _, val in self.bids), "bid values must be non-negative")
 
     @property
     def num_items(self) -> int:
@@ -200,8 +205,7 @@ def monotone_closure(raw_table: Iterable[Money]) -> TableValuation:
     """
     raw = tuple(raw_table)
     # checked before closing, which could lift a negative entry; TableValuation checks the rest
-    if any(v < 0 for v in raw):
-        raise ValueError("bundle values must be non-negative")
+    _check_money(raw, "bundle values must be non-negative")
     return TableValuation(tuple(_closure(raw)))
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .core import Allocation, Money, TypeProfile, Valuation, welfare, zero_valuation
 from .payments import MechanismOutcome, PivotRule, clarke_pivot, vcg_outcome
@@ -91,32 +91,6 @@ def _shaped_like(result: object, template: TypeProfile) -> bool:
     )
 
 
-def _best_suggestion(
-    suggestions: Iterable[TypeProfile | None],
-    template: TypeProfile,
-    alg: AllocationAlgorithm,
-    belief: TypeProfile,
-    meter: StepMeter,
-) -> TypeProfile | None:
-    """The suggestion whose output scores best under ``belief``; earliest on ties.
-
-    Declines and suggestions shaped unlike ``template`` are skipped; each
-    survivor costs one charged algorithm run and one charged scoring.  The
-    suggestions are drawn lazily, so an appeal producing one is charged right
-    before that suggestion is scored.  None if no suggestion survives.
-    """
-    def score(suggestion: TypeProfile) -> Money:
-        alloc = charged_algorithm(alg, suggestion, meter)
-        meter.charge(belief.num_agents)
-        return welfare(belief, alloc)
-
-    return max(
-        (s for s in suggestions if s is not None and _shaped_like(s, template)),
-        key=score,
-        default=None,
-    )
-
-
 @dataclass(frozen=True)
 class ReplaceOwn(Appeal):
     """Swap one agent's declaration for a fixed alternative."""
@@ -142,8 +116,6 @@ class ReplaceProfile(Appeal):
     profile: TypeProfile
 
     def transform(self, profile: TypeProfile, meter: StepMeter) -> TypeProfile | None:
-        if not _shaped_like(self.profile, profile):
-            return None
         return self.profile
 
     def step_bound(self, num_agents: int) -> int:
@@ -154,10 +126,13 @@ class ReplaceProfile(Appeal):
 class BestOf(Appeal):
     """Try several sub-appeals and keep the suggestion whose output scores best.
 
-    Each surviving suggestion is scored by running ``algorithm`` on it and
+    Declines and suggestions shaped unlike the input are skipped.  Each
+    surviving suggestion is scored by running ``algorithm`` on it and
     evaluating the resulting allocation under ``scored_by`` (typically the
-    submitting agent's belief about the true types).  Ties keep the earliest
-    sub-appeal; if every sub-appeal declines, so does this one.
+    submitting agent's belief about the true types), at 1 + n charged steps:
+    the algorithm run and n valuation evaluations.  Sub-appeals run lazily,
+    so each is charged right before its suggestion is scored.  Ties keep the
+    earliest sub-appeal; if no suggestion survives, this appeal declines.
     """
 
     appeals: tuple[Appeal, ...]
@@ -167,10 +142,14 @@ class BestOf(Appeal):
     def transform(self, profile: TypeProfile, meter: StepMeter) -> TypeProfile | None:
         if not _shaped_like(self.scored_by, profile):
             return None
-        return _best_suggestion(
-            (sub.transform(profile, meter) for sub in self.appeals),
-            profile, self.algorithm, self.scored_by, meter,
-        )
+
+        def score(suggestion: TypeProfile) -> Money:
+            alloc = charged_algorithm(self.algorithm, suggestion, meter)
+            meter.charge(self.scored_by.num_agents)
+            return welfare(self.scored_by, alloc)
+
+        suggestions = (sub.transform(profile, meter) for sub in self.appeals)
+        return max((s for s in suggestions if _shaped_like(s, profile)), key=score, default=None)
 
     def step_bound(self, num_agents: int) -> int:
         inner = sum(sub.step_bound(num_agents) for sub in self.appeals)

@@ -248,15 +248,16 @@ def solve_in_range(profile: TypeProfile, allocation_range: AllocationRange) -> A
 # weights object (a mechanism's own and its pivots') reads the same ones.  One
 # entry, matched by identity so an unhashable preference works; holding the
 # weights object keeps its id from being reused.
-_last_preference_pass: tuple = (None, 0, 0, None)
+_last_preference_pass: tuple = (None, 0, None)
 
 
-def _preference_pass(weights: AffineWeights, n: int, m: int) -> tuple[list, list, list]:
+def _preference_pass(weights: AffineWeights, m: int) -> tuple[list, list, list]:
     """Every allocation, agent i's bundle in each as column i, and preference * D in each."""
     global _last_preference_pass
-    held, held_n, held_m, scored = _last_preference_pass
-    if held is weights and held_n == n and held_m == m:
+    held, held_m, scored = _last_preference_pass
+    if held is weights and held_m == m:
         return scored
+    n = weights.num_agents
 
     def allocation(owners: tuple[int, ...]) -> Allocation:
         bundles = [0] * (n + 1)  # bundles[n]: the items nobody gets
@@ -267,7 +268,7 @@ def _preference_pass(weights: AffineWeights, n: int, m: int) -> tuple[list, list
     allocations = list(map(allocation, itertools.product(range(n + 1), repeat=m)))
     columns = list(zip(*(a.bundles for a in allocations)))
     scored = allocations, columns, [weights.preference(a) * weights.scale for a in allocations]
-    _last_preference_pass = weights, n, m, scored
+    _last_preference_pass = weights, m, scored
     return scored
 
 
@@ -304,7 +305,7 @@ def solve_optimal_weighted(weights: AffineWeights, profile: TypeProfile) -> Allo
             if entry % scale:
                 exact_div(entry, scale, "weighted welfare")
         return _smallest_optimum(tables, 1 << m)
-    allocations, columns, totals = _preference_pass(weights, n, m)
+    allocations, columns, totals = _preference_pass(weights, m)
     for table, column in zip(tables, columns):
         totals = list(map(add, totals, map(table.__getitem__, column)))
     for total in totals:

@@ -1,4 +1,4 @@
-"""Brute-force oracles and small-instance generators shared across test modules.
+"""Brute-force oracles, small-instance generators and toy algorithms shared across test modules.
 
 Everything here is deliberately independent of the library's solvers: optima
 are found by plain enumeration so the dynamic programs and mechanisms have
@@ -17,8 +17,10 @@ from mechlab.core import (
     TableValuation,
     TypeProfile,
     XorValuation,
+    full_bundle,
     welfare,
 )
+from mechlab.wd import AllocationAlgorithm
 
 
 def reference_weighted_welfare(weights, profile, alloc):
@@ -67,6 +69,27 @@ def profile_of(*valuations):
 
 def unit_weights(num_agents):
     return AffineWeights((Fraction(1),) * num_agents)
+
+
+def single_item_profile(*values):
+    return TypeProfile(tuple(SingleMindedValuation(1, 1, v) for v in values))
+
+
+def second_highest_algorithm():
+    """Toy rule from the worked example: everything to the runner-up bidder."""
+
+    def fn(profile):
+        everything = full_bundle(profile.num_items)
+        order = sorted(
+            range(profile.num_agents),
+            key=lambda i: (-profile[i].value(everything), i),
+        )
+        winner = order[1] if len(order) > 1 else order[0]
+        bundles = [0] * profile.num_agents
+        bundles[winner] = everything
+        return Allocation(tuple(bundles))
+
+    return AllocationAlgorithm("second_highest", "heuristic", fn)
 
 
 def all_allocations(num_agents, num_items):

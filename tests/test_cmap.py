@@ -3,6 +3,7 @@
 import heapq
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -123,6 +124,10 @@ def test_cmap_welfare_rejects_non_allowable():
     inst = parallel_edges()
     with pytest.raises(ValueError):
         cmap_welfare(inst, inst.seed_type(), (1, 1))  # two parallel edges, not a path
+    for malformed in ((1,), (1, 0, 0), (2, 0), (1, -1)):  # wrong length, or not 0/1
+        assert not inst.is_allowable(malformed)
+        with pytest.raises(ValueError):
+            cmap_welfare(inst, inst.seed_type(), malformed)
 
 
 def test_optimal_picks_cheap_parallel_edge():
@@ -402,6 +407,33 @@ def test_edge_endpoints_outside_the_graph_rejected(bad_edge):
     edges = (GraphEdge(0, 1, 0, 1), GraphEdge(0, 1, 1, 1), bad_edge)
     with pytest.raises(ValueError, match="endpoints"):
         GraphCmap(2, edges, 0, (1,), "path")
+
+
+@pytest.mark.parametrize("make, match", [
+    pytest.param(lambda: GraphEdge(0, 1, -1, 1), "owner", id="negative_owner"),
+    pytest.param(lambda: replace(parallel_edges(), structure="tree"), "unknown structure",
+                 id="unknown_structure"),
+    pytest.param(lambda: replace(parallel_edges(), terminals=(1, 1)), "exactly one terminal",
+                 id="path_with_two_terminals"),
+    pytest.param(lambda: replace(parallel_edges(), terminals=(), structure="multicast"),
+                 "at least one terminal", id="no_terminal"),
+    pytest.param(lambda: replace(parallel_edges(), source=2), "source/terminals",
+                 id="source_off_graph"),
+    pytest.param(lambda: replace(parallel_edges(), terminals=(2,)), "source/terminals",
+                 id="terminal_off_graph"),
+    pytest.param(lambda: replace(parallel_edges(), edges=()), "at least one edge", id="no_edges"),
+    pytest.param(lambda: parallel_edges().check_type(((-1,),)), "type covers 1 agents",
+                 id="type_agent_count"),
+    pytest.param(lambda: parallel_edges().check_type(((-1,), (-1, -1))),
+                 "agent 1 type has 2 components", id="type_component_count"),
+    pytest.param(lambda: _dijkstra_path(parallel_edges(), ((1,), (-1,))), "non-positive",
+                 id="label_setting_positive_value"),
+    pytest.param(lambda: forcing_type(((-1,), (-2,)), (1,), 0), "output length",
+                 id="forcing_length_mismatch"),
+])
+def test_cmap_rejects_malformed_input(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
 
 
 def random_graph_cmap(rng, structure, max_edges, costs, min_edges=2):

@@ -18,6 +18,8 @@ from helpers import (
     reference_affine_payments,
     reference_affine_utility,
     reference_weighted_welfare,
+    second_highest_algorithm,
+    single_item_profile,
     unit_weights,
 )
 from mechlab import wd
@@ -28,7 +30,6 @@ from mechlab.core import (
     BudgetExceededError,
     SingleMindedValuation,
     TypeProfile,
-    full_bundle,
     weighted_welfare,
     zero_valuation,
 )
@@ -51,27 +52,6 @@ from mechlab.wd import (
     optimal_algorithm,
     single_winner_algorithm,
 )
-
-
-def single_item_profile(*values):
-    return TypeProfile(tuple(SingleMindedValuation(1, 1, v) for v in values))
-
-
-def second_highest_algorithm():
-    """Toy rule from the worked example: everything to the runner-up bidder."""
-
-    def fn(profile):
-        everything = full_bundle(profile.num_items)
-        order = sorted(
-            range(profile.num_agents),
-            key=lambda i: (-profile[i].value(everything), i),
-        )
-        winner = order[1] if len(order) > 1 else order[0]
-        bundles = [0] * profile.num_agents
-        bundles[winner] = everything
-        return Allocation(tuple(bundles))
-
-    return AllocationAlgorithm("second_highest", "heuristic", fn)
 
 
 VICKREY_PROFILE = single_item_profile(2000, 1700, 1000)
@@ -356,6 +336,12 @@ def test_affine_utility_rejects_weights_for_another_agent_count():
     for weights in (AffineWeights((1, 1, 1)), AffineWeights((1,))):
         with pytest.raises(ValueError, match="weight arity"):
             affine_utility_of(profile[0], 0, profile, optimal_algorithm(), weights, zero_pivot())
+
+
+def test_accounting_rejects_true_types_for_another_agent_count():
+    profile = profile_of(AdditiveValuation((4, 5)), AdditiveValuation((2, 7)))
+    with pytest.raises(ValueError, match="true-type arity"):
+        run_vcg_based(optimal_algorithm(), profile, zero_pivot(), profile_of(profile[0]))
 
 
 def _value_or_error(fn, *args):

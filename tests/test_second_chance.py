@@ -4,7 +4,13 @@ import random
 
 import pytest
 
-from helpers import profile_of, random_profile, random_valuation
+from helpers import (
+    profile_of,
+    random_profile,
+    random_valuation,
+    second_highest_algorithm,
+    single_item_profile,
+)
 from mechlab.core import (
     SingleMindedValuation,
     TypeProfile,
@@ -40,7 +46,6 @@ from mechlab.wd import (
     optimal_algorithm,
     single_winner_algorithm,
 )
-from test_payments import second_highest_algorithm, single_item_profile
 
 VICKREY_PROFILE = single_item_profile(2000, 1700, 1000)
 
@@ -189,13 +194,34 @@ def test_appeal_that_resets_its_consumed_steps_declines():
 def test_best_of_skips_a_non_profile_suggestion():
     target = single_item_profile(9, 9, 9)
     best_of = BestOf(
-        appeals=(Composed(lambda profile, meter: 42, lambda n: 0), ReplaceProfile(target)),
+        appeals=(
+            Composed(lambda profile, meter: 42, lambda n: 0),
+            ReplaceProfile(single_item_profile(9, 9)),  # a profile, but of two agents
+            ReplaceProfile(target),
+        ),
         scored_by=VICKREY_PROFILE,
         algorithm=optimal_algorithm(),
     )
     result, steps = evaluate_appeal(best_of, VICKREY_PROFILE, 100)
     assert result == target
     assert steps == algorithm_step_cost(3)
+
+
+def test_best_of_declines_when_scored_by_is_shaped_unlike_the_input():
+    best_of = BestOf((ReplaceProfile(VICKREY_PROFILE),), single_item_profile(9, 9),
+                     optimal_algorithm())
+    assert evaluate_appeal(best_of, VICKREY_PROFILE, 100) == (None, 0)
+
+
+@pytest.mark.parametrize("make, match", [
+    pytest.param(lambda: truthful_actions(VICKREY_PROFILE, [DECLINE] * 2), "one appeal per agent",
+                 id="appeal_count"),
+    pytest.param(lambda: RevisionFunction((((), Action(VICKREY_PROFILE[0])),) * 2),
+                 "duplicate keys", id="duplicate_revision_keys"),
+])
+def test_second_chance_rejects_malformed_input(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
 
 
 # ---------------------------------------------------------------- mechanism

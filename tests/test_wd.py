@@ -13,6 +13,7 @@ from helpers import (
     monotone_tables,
     profile_of,
     random_profile,
+    single_item_profile,
     unit_weights,
 )
 from mechlab import wd
@@ -25,7 +26,6 @@ from mechlab.core import (
     BudgetExceededError,
     SingleMindedValuation,
     TableValuation,
-    TypeProfile,
     units,
     weighted_welfare,
     welfare,
@@ -56,10 +56,6 @@ AB = 3
 
 def table_additive_profile():
     return profile_of(TableValuation((0, 1, 1, 3)), AdditiveValuation((2, 2)))
-
-
-def single_item_profile(*values):
-    return TypeProfile(tuple(SingleMindedValuation(1, 1, v) for v in values))
 
 
 def three_single_minded():
@@ -412,6 +408,20 @@ def test_partition_profile_single_agent():
 def test_partition_profile_rejects_empty_bundle():
     with pytest.raises(ValueError):
         profile_from_partition(Allocation((A, 0)))
+
+
+@pytest.mark.parametrize("make, match", [
+    pytest.param(lambda: AllocationRange(()), "non-empty", id="empty_range"),
+    pytest.param(lambda: AllocationRange((Allocation((A,)), Allocation((A, 0)))), "same agents",
+                 id="range_mixed_agent_counts"),
+    pytest.param(lambda: solve_optimal_weighted(unit_weights(3), table_additive_profile()),
+                 "weight arity", id="weighted_arity"),
+    pytest.param(lambda: profile_from_partition(Allocation((A, B)), num_items=1),
+                 "outside the requested universe", id="partition_outside"),
+])
+def test_wd_rejects_malformed_input(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
 
 
 @pytest.mark.parametrize("num_items", [1, 2, 3, 4])
